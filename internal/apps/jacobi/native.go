@@ -26,7 +26,7 @@ func RegisterNatives(s *core.Session) error {
 }
 
 func nativeJacobiStep(g kinterp.Geometry, lo, hi int, args []kinterp.Arg,
-	view *memspace.View) error {
+	view *memspace.View, red *kinterp.Reduction) error {
 	nx := args[3].I
 	rows := args[4].I
 	n := nx * rows
@@ -38,7 +38,12 @@ func nativeJacobiStep(g kinterp.Geometry, lo, hi int, args []kinterp.Arg,
 	if err != nil {
 		return err
 	}
+	// The engine calls this once per segment (the IR kernel adds
+	// atomically), so folding the range's residuals from zero in
+	// ascending thread order yields the segment partial that the IR
+	// kernel's per-thread atomics produce.
 	var localNorm float64
+	added := false
 	for lin := lo; lin < hi; lin++ {
 		gx, gy := g.Thread(lin)
 		ix, iy := int64(gx), int64(gy)
@@ -55,17 +60,16 @@ func nativeJacobiStep(g kinterp.Geometry, lo, hi int, args []kinterp.Arg,
 			d = nd
 		}
 		localNorm += d
+		added = true
 	}
-	// One atomic accumulation per thread range instead of per element:
-	// same result under addition, far fewer serialized sections.
-	if localNorm != 0 {
-		return kinterp.GlobalAtomicAddF64(view, args[2].Ptr, localNorm)
+	if added {
+		return red.AtomicAddF64(view, args[2].Ptr, localNorm)
 	}
 	return nil
 }
 
 func nativeInitField(g kinterp.Geometry, lo, hi int, args []kinterp.Arg,
-	view *memspace.View) error {
+	view *memspace.View, _ *kinterp.Reduction) error {
 	nx := args[1].I
 	rows := args[2].I
 	topWall := args[3].I != 0
@@ -91,7 +95,7 @@ func nativeInitField(g kinterp.Geometry, lo, hi int, args []kinterp.Arg,
 }
 
 func nativeResetNorm(g kinterp.Geometry, lo, hi int, args []kinterp.Arg,
-	view *memspace.View) error {
+	view *memspace.View, _ *kinterp.Reduction) error {
 	for lin := lo; lin < hi; lin++ {
 		gx, gy := g.Thread(lin)
 		if gx == 0 && gy == 0 {

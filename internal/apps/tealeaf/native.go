@@ -8,7 +8,9 @@ import (
 
 // Native ("compiled") implementations of the TeaLeaf kernels; the IR
 // versions in Module() drive the compiler analysis. Equivalence is
-// pinned by TestNativeMatchesInterpreter.
+// pinned by TestNativeMatchesInterpreter. The explicit float64
+// conversions round each product as the interpreter does, so that
+// architectures with fused multiply-add cannot fuse it into a sum.
 
 // RegisterNatives installs the native kernels on the session's device.
 func RegisterNatives(s *core.Session) error {
@@ -41,7 +43,7 @@ func interior(ix, iy, nx, rows int64) (int64, bool) {
 	return iy*nx + ix, true
 }
 
-func nativeInit(g kinterp.Geometry, lo, hi int, args []kinterp.Arg, view *memspace.View) error {
+func nativeInit(g kinterp.Geometry, lo, hi int, args []kinterp.Arg, view *memspace.View, _ *kinterp.Reduction) error {
 	nx, rows := dims(args)
 	n := nx * rows
 	b, err := kinterp.NewVecF64(view, args[0].Ptr, n)
@@ -75,7 +77,7 @@ func nativeInit(g kinterp.Geometry, lo, hi int, args []kinterp.Arg, view *memspa
 	return nil
 }
 
-func nativeMatvec(g kinterp.Geometry, lo, hi int, args []kinterp.Arg, view *memspace.View) error {
+func nativeMatvec(g kinterp.Geometry, lo, hi int, args []kinterp.Arg, view *memspace.View, _ *kinterp.Reduction) error {
 	nx, rows := dims(args)
 	n := nx * rows
 	w, err := kinterp.NewVecF64(view, args[0].Ptr, n)
@@ -87,7 +89,7 @@ func nativeMatvec(g kinterp.Geometry, lo, hi int, args []kinterp.Arg, view *mems
 		return err
 	}
 	k := args[2].F
-	diag := 1 + 4*k
+	diag := 1 + float64(4*k)
 	for lin := lo; lin < hi; lin++ {
 		gx, gy := g.Thread(lin)
 		idx, ok := interior(int64(gx), int64(gy), nx, rows)
@@ -95,12 +97,12 @@ func nativeMatvec(g kinterp.Geometry, lo, hi int, args []kinterp.Arg, view *mems
 			continue
 		}
 		sum := (p.At(idx-1) + p.At(idx+1)) + (p.At(idx-nx) + p.At(idx+nx))
-		w.Set(idx, diag*p.At(idx)-k*sum)
+		w.Set(idx, float64(diag*p.At(idx))-float64(k*sum))
 	}
 	return nil
 }
 
-func nativeDot(g kinterp.Geometry, lo, hi int, args []kinterp.Arg, view *memspace.View) error {
+func nativeDot(g kinterp.Geometry, lo, hi int, args []kinterp.Arg, view *memspace.View, red *kinterp.Reduction) error {
 	nx, rows := dims(args)
 	n := nx * rows
 	slot := args[1].I
@@ -112,22 +114,26 @@ func nativeDot(g kinterp.Geometry, lo, hi int, args []kinterp.Arg, view *memspac
 	if err != nil {
 		return err
 	}
+	// One call per segment: the fold from zero in ascending thread order
+	// is the segment partial of the IR kernel's per-thread atomics.
 	var local float64
+	added := false
 	for lin := lo; lin < hi; lin++ {
 		gx, gy := g.Thread(lin)
 		idx, ok := interior(int64(gx), int64(gy), nx, rows)
 		if !ok {
 			continue
 		}
-		local += a.At(idx) * b.At(idx)
+		local += float64(a.At(idx) * b.At(idx))
+		added = true
 	}
-	if local != 0 {
-		return kinterp.GlobalAtomicAddF64(view, args[0].Ptr+memspace.Addr(slot*8), local)
+	if added {
+		return red.AtomicAddF64(view, args[0].Ptr+memspace.Addr(slot*8), local)
 	}
 	return nil
 }
 
-func nativeAxpy(g kinterp.Geometry, lo, hi int, args []kinterp.Arg, view *memspace.View) error {
+func nativeAxpy(g kinterp.Geometry, lo, hi int, args []kinterp.Arg, view *memspace.View, _ *kinterp.Reduction) error {
 	nx, rows := dims(args)
 	n := nx * rows
 	y, err := kinterp.NewVecF64(view, args[0].Ptr, n)
@@ -145,12 +151,12 @@ func nativeAxpy(g kinterp.Geometry, lo, hi int, args []kinterp.Arg, view *memspa
 		if !ok {
 			continue
 		}
-		y.Set(idx, y.At(idx)+alpha*x.At(idx))
+		y.Set(idx, y.At(idx)+float64(alpha*x.At(idx)))
 	}
 	return nil
 }
 
-func nativePUpdate(g kinterp.Geometry, lo, hi int, args []kinterp.Arg, view *memspace.View) error {
+func nativePUpdate(g kinterp.Geometry, lo, hi int, args []kinterp.Arg, view *memspace.View, _ *kinterp.Reduction) error {
 	nx, rows := dims(args)
 	n := nx * rows
 	p, err := kinterp.NewVecF64(view, args[0].Ptr, n)
@@ -168,12 +174,12 @@ func nativePUpdate(g kinterp.Geometry, lo, hi int, args []kinterp.Arg, view *mem
 		if !ok {
 			continue
 		}
-		p.Set(idx, r.At(idx)+beta*p.At(idx))
+		p.Set(idx, r.At(idx)+float64(beta*p.At(idx)))
 	}
 	return nil
 }
 
-func nativeResetDots(g kinterp.Geometry, lo, hi int, args []kinterp.Arg, view *memspace.View) error {
+func nativeResetDots(g kinterp.Geometry, lo, hi int, args []kinterp.Arg, view *memspace.View, _ *kinterp.Reduction) error {
 	acc, err := kinterp.NewVecF64(view, args[0].Ptr, 2)
 	if err != nil {
 		return err

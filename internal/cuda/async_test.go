@@ -40,7 +40,7 @@ func newAsyncDev(t *testing.T) (*Device, *memspace.Memory) {
 // slowFill registers a native kernel that sleeps before filling, so the
 // host provably runs ahead of the device.
 func slowFill(started chan<- struct{}, delay time.Duration) kinterp.ThreadRange {
-	return func(g kinterp.Geometry, lo, hi int, args []kinterp.Arg, view *memspace.View) error {
+	return func(g kinterp.Geometry, lo, hi int, args []kinterp.Arg, view *memspace.View, _ *kinterp.Reduction) error {
 		if started != nil {
 			select {
 			case started <- struct{}{}:

@@ -97,13 +97,24 @@ type Engine struct {
 	mod     *kir.Module
 	cfg     Config
 	natives map[string]ThreadRange
-	// atomicMu serializes OpAtomicAddF across workers.
+	// atomic holds the kernels whose IR can execute OpAtomicAddF; only
+	// their launches are split on segment boundaries.
+	atomic map[string]bool
+	// atomicMu makes the publication of a launch's float atomic partials
+	// (publish) atomic with respect to other launches running at the
+	// same time on asynchronous streams.
 	atomicMu sync.Mutex
 }
 
-// DefaultSerialThreshold is the launch size below which kernels run
+// DefaultSerialThreshold is the launch size up to which kernels run
 // inline on the calling goroutine.
 const DefaultSerialThreshold = 2048
+
+// SegmentSize is the number of consecutive linear thread ids whose float
+// atomic adds fold into one partial. It fixes the summation order of
+// OpAtomicAddF (see Launch) and is deliberately independent of Workers,
+// SerialThreshold and GOMAXPROCS.
+const SegmentSize = 256
 
 const defaultMaxSteps = 50_000_000
 
@@ -121,7 +132,30 @@ func New(mod *kir.Module, cfg Config) (*Engine, error) {
 	if cfg.MaxStepsPerThread <= 0 {
 		cfg.MaxStepsPerThread = defaultMaxSteps
 	}
-	return &Engine{mod: mod, cfg: cfg}, nil
+	atomic := make(map[string]bool)
+	for _, f := range mod.Kernels() {
+		atomic[f.Name] = hasAtomicAdd(mod, f, map[string]bool{})
+	}
+	return &Engine{mod: mod, cfg: cfg, atomic: atomic}, nil
+}
+
+// hasAtomicAdd reports whether f, or a device function it calls, contains
+// OpAtomicAddF.
+func hasAtomicAdd(mod *kir.Module, f *kir.Function, seen map[string]bool) bool {
+	seen[f.Name] = true
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			switch {
+			case in.Op == kir.OpAtomicAddF:
+				return true
+			case in.Op == kir.OpCall && !seen[in.Callee]:
+				if hasAtomicAdd(mod, mod.Func(in.Callee), seen) {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // Module returns the engine's module.
@@ -151,6 +185,14 @@ var (
 // Launch executes kernel name over grid×block threads. Arguments must
 // match the kernel signature (checked). mem must not be mutated
 // structurally (alloc/free) during the launch.
+//
+// Float atomic adds (OpAtomicAddF, Reduction.AtomicAddF64) follow one
+// summation order whatever the worker count or execution mode: the
+// launch's linear thread ids are cut into segments of SegmentSize; within
+// a segment the adds to one address fold from zero in ascending thread
+// order; after the last thread, the segment partials are added to memory
+// in segment order. Atomic results therefore become visible when the
+// launch ends. A launch that faults publishes none of them.
 func (e *Engine) Launch(name string, grid, block Dim3, args []Arg, mem *memspace.Memory) error {
 	return e.LaunchView(name, grid, block, args, mem.NewView())
 }
@@ -174,48 +216,118 @@ func (e *Engine) LaunchView(name string, grid, block Dim3, args []Arg, view *mem
 	if total == 0 {
 		return nil
 	}
+	workers := e.cfg.Workers
+	if total <= e.cfg.SerialThreshold {
+		workers = 1
+	}
 
 	if native, ok := e.natives[name]; ok {
-		return e.launchNative(name, native, grid, block, total, args, view)
+		return e.launchNative(name, native, grid, block, total, workers, args, view)
 	}
 
 	geom := geometry{grid: grid, block: block}
+	return e.run(total, workers, e.atomic[name], view, func(v *memspace.View, lo, hi int, red *Reduction) error {
+		return newWorker(e, v, geom, f, args, red).runRange(lo, hi)
+	})
+}
 
-	if total <= e.cfg.SerialThreshold || e.cfg.Workers == 1 {
-		w := newWorker(e, view, geom, f, args)
-		return w.runRange(0, total)
+// run executes threads [0, total) of one launch through body and then
+// publishes the launch's float atomic partials. One worker runs body on
+// the calling goroutine; more split the launch into contiguous ranges,
+// each with its own view clone. The ranges of a kernel with atomics
+// (ordered) consist of whole segments; each of its workers allocates its
+// own Reduction, so that workers never write to a shared cache line.
+// Other kernels get nil Reductions.
+func (e *Engine) run(total, workers int, ordered bool, view *memspace.View,
+	body func(v *memspace.View, lo, hi int, red *Reduction) error) error {
+	unit := 1
+	if ordered {
+		unit = SegmentSize
 	}
-
-	workers := e.cfg.Workers
-	if workers > total {
-		workers = total
-	}
-	chunk := (total + workers - 1) / workers
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
-		lo := wi * chunk
-		hi := lo + chunk
-		if hi > total {
-			hi = total
+	units := (total + unit - 1) / unit
+	workers = min(workers, units)
+	reds := make([]*Reduction, workers)
+	exec := func(wi int, v *memspace.View, lo, hi int) error {
+		if ordered {
+			reds[wi] = &Reduction{parts: make([]partial, 0, (hi-lo+unit-1)/unit)}
 		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(wi, lo, hi int) {
-			defer wg.Done()
-			w := newWorker(e, view.Clone(), geom, f, args)
-			errs[wi] = w.runRange(lo, hi)
-		}(wi, lo, hi)
+		return body(v, lo, hi, reds[wi])
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+	if workers == 1 {
+		if err := exec(0, view, 0, total); err != nil {
 			return err
 		}
+	} else {
+		errs := make([]error, workers)
+		var wg sync.WaitGroup
+		for wi := range workers {
+			lo, hi := wi*units/workers*unit, min((wi+1)*units/workers*unit, total)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[wi] = exec(wi, view.Clone(), lo, hi)
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				return err
+			}
+		}
+	}
+	if ordered {
+		e.publish(reds)
 	}
 	return nil
+}
+
+// Reduction is one launch worker's share of the launch's float atomic
+// adds, kept as segment partials in ascending segment order (see
+// Launch). The engine hands it to the native kernels whose IR adds
+// atomically, and nil to the others.
+type Reduction struct {
+	parts []partial
+	// parts[start:] belong to segment seg, the one being executed.
+	seg, start int
+}
+
+// partial is one segment's fold for the float64 at p.
+type partial struct {
+	p *[8]byte
+	v float64
+}
+
+// enter makes seg the segment being executed. A worker runs its threads
+// in ascending order, so it enters segments in ascending order.
+func (r *Reduction) enter(seg int) {
+	if seg != r.seg {
+		r.seg, r.start = seg, len(r.parts)
+	}
+}
+
+// add folds x into the current segment's partial for the float64 at b.
+func (r *Reduction) add(b []byte, x float64) {
+	p := (*[8]byte)(b)
+	for i := r.start; i < len(r.parts); i++ {
+		if r.parts[i].p == p {
+			r.parts[i].v += x
+			return
+		}
+	}
+	r.parts = append(r.parts, partial{p: p})
+	r.parts[len(r.parts)-1].v += x
+}
+
+// publish adds the partials of one launch to memory in segment order:
+// reds[wi] belongs to worker wi, and workers hold ascending ranges.
+func (e *Engine) publish(reds []*Reduction) {
+	e.atomicMu.Lock()
+	defer e.atomicMu.Unlock()
+	for _, red := range reds {
+		for _, p := range red.parts {
+			pef64(p.p[:], lef64(p.p[:])+p.v)
+		}
+	}
 }
 
 func checkArgs(f *kir.Function, args []Arg) error {
@@ -262,10 +374,12 @@ type worker struct {
 	lin      int
 	interval int32
 	log      *AccessLog
+	// red collects the worker's float atomic adds.
+	red *Reduction
 }
 
-func newWorker(e *Engine, v *memspace.View, g geometry, f *kir.Function, args []Arg) *worker {
-	return &worker{eng: e, view: v, geom: g, entry: f, args: args}
+func newWorker(e *Engine, v *memspace.View, g geometry, f *kir.Function, args []Arg, red *Reduction) *worker {
+	return &worker{eng: e, view: v, geom: g, entry: f, args: args, red: red}
 }
 
 func (w *worker) frameAt(depth, size int) *frame {
@@ -484,10 +598,8 @@ func (w *worker) exec(f *kir.Function, fr *frame, ctx threadCtx, depth int, maxS
 				if w.log != nil {
 					w.record(addr, 8, AccessAtomic)
 				}
-				w.eng.atomicMu.Lock()
-				old := math.Float64frombits(binary.LittleEndian.Uint64(bs))
-				binary.LittleEndian.PutUint64(bs, math.Float64bits(old+fr.fregs[in.B]))
-				w.eng.atomicMu.Unlock()
+				w.red.enter(w.lin / SegmentSize)
+				w.red.add(bs, fr.fregs[in.B])
 			case kir.OpSyncthreads:
 				// The interpreter runs each thread to completion
 				// independently, so the barrier is a pure interval marker:
@@ -532,47 +644,27 @@ func (w *worker) exec(f *kir.Function, fr *frame, ctx threadCtx, depth int, maxS
 	}
 }
 
-// launchNative runs a registered native kernel, fanning the thread range
-// across the worker pool for large launches.
+// launchNative runs a registered native kernel over the same worker
+// split as the interpreter. A kernel whose IR adds atomically is called
+// once per segment, so that its partial is the segment's.
 func (e *Engine) launchNative(name string, fn ThreadRange, grid, block Dim3,
-	total int, args []Arg, view *memspace.View) error {
+	total, workers int, args []Arg, view *memspace.View) error {
+	ordered := e.atomic[name]
 	g := Geometry{Grid: grid, Block: block}
-	wrap := func(err error) error {
-		if err == nil {
-			return nil
+	err := e.run(total, workers, ordered, view, func(v *memspace.View, lo, hi int, red *Reduction) error {
+		if !ordered {
+			return fn(g, lo, hi, args, v, nil)
 		}
+		for s := lo; s < hi; s += SegmentSize {
+			red.enter(s / SegmentSize)
+			if err := fn(g, s, min(s+SegmentSize, hi), args, v, red); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
 		return &KernelError{Kernel: name, Err: err}
-	}
-	if total <= e.cfg.SerialThreshold || e.cfg.Workers == 1 {
-		return wrap(fn(g, 0, total, args, view))
-	}
-	workers := e.cfg.Workers
-	if workers > total {
-		workers = total
-	}
-	chunk := (total + workers - 1) / workers
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
-		lo := wi * chunk
-		hi := lo + chunk
-		if hi > total {
-			hi = total
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(wi, lo, hi int) {
-			defer wg.Done()
-			errs[wi] = fn(g, lo, hi, args, view.Clone())
-		}(wi, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return wrap(err)
-		}
 	}
 	return nil
 }

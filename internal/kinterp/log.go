@@ -67,8 +67,10 @@ type AccessLog struct {
 // at a time, ascending linear id) while recording every load, store and
 // atomic into the returned log. Serial execution makes the log — and any
 // data the kernel computes — a pure function of the module, geometry and
-// arguments, which is what the differential oracle needs. Native kernel
-// registrations are ignored here: logging requires interpretation.
+// arguments, which is what the differential oracle needs. Float atomic
+// adds follow Launch's segment order, so the data also matches a Launch
+// bit for bit. Native kernel registrations are ignored here: logging
+// requires interpretation.
 func (e *Engine) LaunchLogged(name string, grid, block Dim3, args []Arg, mem *memspace.Memory) (*AccessLog, error) {
 	f := e.mod.Func(name)
 	if f == nil {
@@ -86,12 +88,13 @@ func (e *Engine) LaunchLogged(name string, grid, block Dim3, args []Arg, mem *me
 	if total == 0 {
 		return log, nil
 	}
-	w := newWorker(e, mem.NewView(), geometry{grid: grid, block: block}, f, args)
-	w.log = log
-	if err := w.runRange(0, total); err != nil {
-		return log, err
-	}
-	return log, nil
+	geom := geometry{grid: grid, block: block}
+	err := e.run(total, 1, e.atomic[name], mem.NewView(), func(v *memspace.View, lo, hi int, red *Reduction) error {
+		w := newWorker(e, v, geom, f, args, red)
+		w.log = log
+		return w.runRange(lo, hi)
+	})
+	return log, err
 }
 
 // record appends one access event for the currently executing thread.

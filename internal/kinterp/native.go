@@ -20,14 +20,19 @@ import (
 // toolchain analyzes IR but runs machine code).
 //
 // Equivalence between a kernel's IR and native implementations is a
-// testable property; the apps' tests compare both modes element-wise.
+// testable property; the apps' tests compare both modes bit for bit.
 
 // ThreadRange executes device threads [lo, hi) of a launch natively.
 // Implementations derive per-thread geometry from the linear id exactly
 // like the interpreter: gx = lin % (grid.X*block.X), gy = lin / ...
-type ThreadRange func(g Geometry, lo, hi int, args []Arg, view *memspace.View) error
+//
+// If the kernel's IR contains an atomic add, [lo, hi) never spans a
+// segment boundary (see SegmentSize) and the implementation reduces
+// through red; otherwise red is nil.
+type ThreadRange func(g Geometry, lo, hi int, args []Arg, view *memspace.View, red *Reduction) error
 
-// Geometry describes one launch for native kernels.
+// Geometry describes one launch for native kernels. It stays within four
+// words so that the compiler keeps it in registers in native loops.
 type Geometry struct {
 	Grid, Block Dim3
 }
@@ -92,32 +97,38 @@ func (v VecF64) Set(i int64, x float64) {
 	pef64(v.b[i*8:i*8+8], x)
 }
 
-// Add adds x to element i (single-threaded callers only; cross-worker
-// accumulation must go through Engine.AtomicAddF64).
+// Add adds x to element i (single-threaded callers only; reductions
+// across threads go through Reduction.AtomicAddF64).
 func (v VecF64) Add(i int64, x float64) {
 	pef64(v.b[i*8:i*8+8], lef64(v.b[i*8:i*8+8])+x)
 }
 
-// AtomicAddF64 performs the engine-serialized atomic float add native
-// kernels use for reductions (OpAtomicAddF analog).
-func (e *Engine) AtomicAddF64(view *memspace.View, addr memspace.Addr, x float64) error {
+// AtomicAddF64 is atomicAdd for native kernels: it folds x into the
+// partial for addr of the segment the current call covers, which the
+// engine adds to memory when the launch ends (see Launch). Folding a
+// call's per-thread values from zero in ascending thread order and
+// publishing the result once gives the same bits as the IR kernel's
+// per-thread atomics. On the nil Reduction of a kernel whose IR has no
+// atomic add it fails.
+func (r *Reduction) AtomicAddF64(view *memspace.View, addr memspace.Addr, x float64) error {
+	if r == nil {
+		return fmt.Errorf("kinterp: native atomic add at 0x%x in a kernel whose IR has none", uint64(addr))
+	}
 	b, err := view.Bytes(addr, 8)
 	if err != nil {
 		return err
 	}
-	e.atomicMu.Lock()
-	pef64(b, lef64(b)+x)
-	e.atomicMu.Unlock()
+	r.add(b, x)
 	return nil
 }
 
-// globalAtomicMu serializes GlobalAtomicAddF64 across all native-kernel
-// workers; per-range accumulation keeps it off the hot path.
+// globalAtomicMu serializes GlobalAtomicAddF64.
 var globalAtomicMu sync.Mutex
 
-// GlobalAtomicAddF64 is the reduction primitive for native kernels
-// (atomicAdd analog). Native implementations accumulate locally per
-// thread range and publish once, so contention is negligible.
+// GlobalAtomicAddF64 adds x at addr under a process-wide lock. Concurrent
+// callers are applied in whatever order they take the lock, so it is not
+// for use inside a launch: native kernels reduce through
+// Reduction.AtomicAddF64, which fixes the summation order.
 func GlobalAtomicAddF64(view *memspace.View, addr memspace.Addr, x float64) error {
 	b, err := view.Bytes(addr, 8)
 	if err != nil {

@@ -8,7 +8,7 @@ import (
 )
 
 // nativeCopy mirrors the IR copy kernel of copyModule.
-func nativeCopy(g Geometry, lo, hi int, args []Arg, view *memspace.View) error {
+func nativeCopy(g Geometry, lo, hi int, args []Arg, view *memspace.View, _ *Reduction) error {
 	n := args[2].I
 	out, err := NewVecF64(view, args[0].Ptr, n)
 	if err != nil {
@@ -103,7 +103,7 @@ func TestNativeParallelExecution(t *testing.T) {
 
 func TestNativeErrorWrapped(t *testing.T) {
 	eng := engine(t, copyModule(), Config{})
-	bad := func(g Geometry, lo, hi int, args []Arg, view *memspace.View) error {
+	bad := func(g Geometry, lo, hi int, args []Arg, view *memspace.View, _ *Reduction) error {
 		return errors.New("device fault")
 	}
 	if err := eng.RegisterNative("copy", bad); err != nil {
