@@ -6,7 +6,6 @@
 //
 //	cusan-bench [-experiment all|fig10|fig11|table1|fig12|ablation|cells|engine|campaign]
 //	            [-app jacobi,tealeaf,halo2d] [-engine batched|slow]
-//	            [-shards N] [-batch-workers N]
 //	            [-runs N] [-warmup N] [-ranks N]
 //	            [-cpuprofile f] [-memprofile f]
 //	            [-jacobi-nx N] [-jacobi-ny N] [-jacobi-iters N]
@@ -39,11 +38,7 @@ func run() int {
 	appList := flag.String("app", "",
 		"comma-separated apps for the overhead experiments: jacobi, tealeaf, halo2d (default: the paper's pair)")
 	engineName := flag.String("engine", "",
-		"shadow-range engine for all measurements: batched (default; packed shadow words, 64-bit conflict screening, arena-backed zero-alloc hot path) or slow (granule-at-a-time reference walk, the differential oracle)")
-	shards := flag.Int("shards", 0,
-		"shard the shadow page index over this many buckets (rounded up to a power of two; 0/1 = single index); kernel-argument batches are then checked by up to GOMAXPROCS workers")
-	batchWorkers := flag.Int("batch-workers", 0,
-		"cap the goroutines used for sharded batch checking (0 = GOMAXPROCS; needs -shards > 1)")
+		"shadow-range engine for all measurements: batched (default; run-length shadow, one race check per run of equal granules) or slow (granule-at-a-time reference walk, the differential oracle)")
 	flag.IntVar(&cfg.Runs, "runs", cfg.Runs, "measured runs per data point")
 	flag.IntVar(&cfg.Warmup, "warmup", cfg.Warmup, "warmup runs per data point")
 	flag.IntVar(&cfg.Ranks, "ranks", cfg.Ranks, "MPI world size")
@@ -72,8 +67,6 @@ func run() int {
 		return 2
 	}
 	cfg.TSanCfg.Engine = eng
-	cfg.TSanCfg.Shards = *shards
-	cfg.TSanCfg.BatchWorkers = *batchWorkers
 
 	if *appList != "" {
 		cfg.Apps = nil

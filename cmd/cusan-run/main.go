@@ -78,11 +78,7 @@ func main() {
 		"mini-app: "+strings.Join(apps.Names(), ", "))
 	flavorName := flag.String("flavor", "must+cusan", "instrumentation flavor")
 	engineName := flag.String("engine", "fast",
-		"shadow engine: fast (batched packed-word walker, the default) or slow (granule-at-a-time reference oracle)")
-	shards := flag.Int("shards", 0,
-		"shard the shadow page index over this many buckets (rounded up to a power of two; 0/1 = single index) so kernel-argument batches are checked concurrently")
-	batchWorkers := flag.Int("batch-workers", 0,
-		"cap the goroutines used for sharded batch checking (0 = GOMAXPROCS; needs -shards > 1)")
+		"shadow engine: fast (batched run engine, the default) or slow (granule-at-a-time reference oracle)")
 	ranks := flag.Int("ranks", 2, "MPI world size")
 	nx := flag.Int("nx", 0, "global NX (0 = app default)")
 	ny := flag.Int("ny", 0, "global NY (0 = app default)")
@@ -150,8 +146,6 @@ func main() {
 		MaxSteps: *maxSteps,
 	}
 	cfg.TSanCfg.Engine = engine
-	cfg.TSanCfg.Shards = *shards
-	cfg.TSanCfg.BatchWorkers = *batchWorkers
 	if *timeout > 0 {
 		// The cause names only the configured deadline, never elapsed
 		// time, so a watchdog teardown prints identically on every run.

@@ -33,7 +33,9 @@ import (
 type Config struct {
 	// NX, NY are the global grid size (NY split across ranks).
 	NX, NY int
-	// Iters is the fixed CG iteration count.
+	// Iters is the CG iteration limit. The solve stops earlier only on
+	// exact convergence (p·Ap or ||r||^2 exactly zero); there is no
+	// tolerance.
 	Iters int
 	// K is the diffusion coefficient (conditioning knob).
 	K float64
@@ -56,7 +58,8 @@ func DefaultConfig() Config {
 
 // Result reports a rank's outcome.
 type Result struct {
-	Rank    int
+	Rank int
+	// Iters counts the CG iterations performed (at most Config.Iters).
 	Iters   int
 	FirstRR float64
 	LastRR  float64
@@ -329,7 +332,7 @@ func Run(s *core.Session, cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	res := &Result{Rank: s.Rank(), Iters: cfg.Iters}
+	res := &Result{Rank: s.Rank()}
 	rr, err := t.globalDot(1, t.r, t.r)
 	if err != nil {
 		return nil, err
@@ -359,7 +362,7 @@ func Run(s *core.Session, cfg Config) (*Result, error) {
 			return nil, err
 		}
 		if pAp == 0 {
-			break
+			break // p = 0: r is already exactly zero
 		}
 		alpha := rr / pAp
 		if err := t.launch("tl_axpy", kinterp.Ptr(t.x), kinterp.Ptr(t.p), kinterp.F64(alpha)); err != nil {
@@ -372,9 +375,13 @@ func Run(s *core.Session, cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		res.Iters++
+		res.LastRR = rrNew
+		if rrNew == 0 {
+			break // exact convergence: beta would be 0/0
+		}
 		beta := rrNew / rr
 		rr = rrNew
-		res.LastRR = rr
 		if err := t.launch("tl_p_update", kinterp.Ptr(t.p), kinterp.Ptr(t.r), kinterp.F64(beta)); err != nil {
 			return nil, err
 		}

@@ -248,3 +248,42 @@ func TestModuleTextRoundTrip(t *testing.T) {
 		t.Fatalf("analysis differs:\n%s\nvs\n%s", orig, again)
 	}
 }
+
+// TestExactConvergenceStops: at K=1 on 96x96, ||r||^2 reaches exactly 0
+// well before 1000 iterations. The solve must stop there, report the
+// iterations it performed, and not fail on beta = 0/0.
+func TestExactConvergenceStops(t *testing.T) {
+	res, rs := run(t, core.MUSTCuSan, Config{NX: 96, NY: 96, Iters: 1000, K: 1}, 2)
+	for _, r := range rs {
+		if r.Iters <= 0 || r.Iters >= 1000 {
+			t.Fatalf("rank %d: iters = %d, want early exact convergence", r.Rank, r.Iters)
+		}
+		if r.LastRR != 0 {
+			t.Fatalf("rank %d: stopped at rr = %v, want exactly 0", r.Rank, r.LastRR)
+		}
+	}
+	if rs[0].Iters != rs[1].Iters {
+		t.Fatalf("ranks disagree on iterations: %d vs %d", rs[0].Iters, rs[1].Iters)
+	}
+	// 3 set-up launches, 7 per full iteration; the last iteration stops
+	// before its p update.
+	if got, want := res.Ranks[0].CudaCtrs.KernelCalls, int64(3+7*rs[0].Iters-1); got != want {
+		t.Fatalf("kernel calls = %d, want %d for %d iterations", got, want, rs[0].Iters)
+	}
+}
+
+// TestItersReportsPerformedCount: raising the iteration limit past the
+// point of exact convergence changes neither the work done nor the
+// reported count.
+func TestItersReportsPerformedCount(t *testing.T) {
+	iters := func(limit int) (int, int64) {
+		res, rs := run(t, core.MUSTCuSan, Config{NX: 96, NY: 96, Iters: limit, K: 0.1}, 2)
+		return rs[0].Iters, res.Ranks[0].CudaCtrs.KernelCalls
+	}
+	n1, k1 := iters(1000)
+	n2, k2 := iters(2000)
+	if n1 >= 1000 || n1 != n2 || k1 != k2 {
+		t.Fatalf("limit 1000: %d iters, %d launches; limit 2000: %d iters, %d launches",
+			n1, k1, n2, k2)
+	}
+}

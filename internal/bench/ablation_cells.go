@@ -17,7 +17,7 @@ import (
 func CellsAblation(cfg Config) (*Table, error) {
 	t := &Table{
 		Title:   "Ablation — shadow cells per granule (TSan design point: 4; default here: 2)",
-		Headers: []string{"cells", "wall", "rel vs vanilla", "shadow[MB]", "races"},
+		Headers: []string{"cells", "wall", "rel vs vanilla", "shadow[KiB]", "races"},
 		Notes: []string{
 			"Jacobi under MUST & CuSan; the correct program must stay at 0 races at every setting",
 		},
@@ -43,7 +43,7 @@ func CellsAblation(cfg Config) (*Table, error) {
 			fmt.Sprintf("%d", cells),
 			secs(m.Wall),
 			f2(m.Wall.Seconds() / base.Wall.Seconds()),
-			mb(shadow),
+			fmt.Sprintf("%.1f", float64(shadow)/1024),
 			fmt.Sprintf("%d", m.Result.TotalRaces()),
 		})
 	}

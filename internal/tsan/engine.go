@@ -2,7 +2,6 @@ package tsan
 
 import (
 	"cusango/internal/memspace"
-	"cusango/internal/vclock"
 )
 
 // The batched shadow-range engine (the default, Config.Engine ==
@@ -10,42 +9,66 @@ import (
 //
 // The paper's headline overhead result is that CuSan's cost tracks the
 // bytes annotated to TSan (§V-B, Fig. 12), and the annotation hot path
-// is exactly this walk. The reference implementation (accessRangeSlow)
-// resolves a shadow page per granule and recomputes the partial-mask
-// condition on every step. The batched engine instead:
+// is exactly this walk. CuSan's accesses are whole-buffer and
+// full-mask, so shadow state is piecewise-constant over kilobytes. The
+// batched engine keeps it that way (shadowWindow stores runs of equal
+// granules) and checks an access once per run, not once per granule:
 //
-//  1. resolves each shadow page once and processes every granule it
-//     covers in a tight loop over the page's plane-0 slab (8 packed
-//     words per cache line);
-//  2. clips the interior (full-mask) granule range once per page span —
-//     only the first and last granule of a range can be partial — so
-//     the inner loop carries no per-granule mask logic;
-//  3. screens each interior granule with one packed-word compare:
-//     c & screenMask == screen means "same fiber, same access kind",
-//     and if the word is bit-identical to the word we would store (same
-//     epoch, full mask) with the same interned site, the access is a
-//     provable re-annotation and nothing is stored at all;
-//  4. consults a per-fiber same-epoch range cache: a fiber
-//     re-annotating the identical range at its current epoch with the
-//     same access kind and site, before any other walk touched the
-//     shadow, is a provable no-op and returns immediately (the
-//     iterative-stencil pattern the mini-apps produce).
+//  1. it resolves each 32-KiB window the access spans once;
+//  2. inside a window it splits at most the two runs that straddle the
+//     access bounds, so every run it visits lies inside the access;
+//  3. it applies the per-granule decision (checkCells) once per run —
+//     one vector-clock lookup per cell — and stores the result for the
+//     whole run. Reports go to the run's first granule; the identical
+//     reports the other granules would raise are counted as
+//     deduplicated, exactly as the granule-at-a-time walk counts them;
+//  4. it coalesces equal neighbouring runs afterwards.
 //
-// Both engines funnel every non-trivial granule through checkGranule,
-// so race reports, slot selection, and eviction order are identical;
-// the differential tests in differential_test.go pin that equivalence.
+// Only the first and last granule of a range can be partial; each is
+// applied as a one-granule segment with its byte mask. When every cell
+// holds a concurrent access the eviction slot depends on the granule
+// (g % K), so a multi-granule run first explodes into one-granule runs
+// — the racy degenerate case only.
+//
+// A per-fiber range cache sits in front of the walk: a fiber
+// re-annotating the identical range at an unchanged clock with the same
+// access kind and site, before any other walk touched the shadow, is a
+// provable no-op and returns immediately (counting the duplicate
+// reports the walk would have counted).
+//
+// Both engines funnel every decision through checkCells, so race
+// reports, slot selection, and eviction order are identical; the
+// differential tests in differential_test.go pin that equivalence.
 
 // spanCtr accumulates engine counters locally during a walk; totals are
-// folded into Stats once per range (or per batch worker), keeping the
-// inner loop free of field stores.
+// folded into Stats once per range.
 type spanCtr struct {
 	granules int64
 	fast     int64
 	same     int64
+	runs     int64
+	// redup counts the conflicts an identical re-annotation would meet:
+	// every one a duplicate report, which a range-cache hit accounts
+	// for without walking.
+	redup int64
 }
 
-// accessRangeBatched records an access to [a, a+n) page span by page
-// span.
+// access is one range annotation in flight.
+type access struct {
+	f      *Fiber
+	cell   uint64 // the full-mask cell the access stores
+	write  bool
+	infoID uint32
+}
+
+// conflicts reports whether an evicted cell — concurrent by definition
+// of eviction unless it is the accessor's own — conflicts with acc.
+func (acc *access) conflicts(c uint64, mask uint8) bool {
+	cFiber, _, cWrite, cMask := decodeCell(c)
+	return cFiber != acc.f.id && (acc.write || cWrite) && mask&cMask != 0
+}
+
+// accessRangeBatched records an access to [a, a+n) window by window.
 func (s *Sanitizer) accessRangeBatched(a memspace.Addr, n int64, write bool, info *AccessInfo) {
 	f := s.cur
 	ep := s.epoch()
@@ -55,159 +78,111 @@ func (s *Sanitizer) accessRangeBatched(a memspace.Addr, n int64, write bool, inf
 	if !s.cfg.DisableRangeCache {
 		e := &s.rangeCache[f.id]
 		if e.valid && e.seq == s.accessSeq && e.start == start && e.end == end &&
-			e.write == write && e.ep == ep && e.info == info {
+			e.write == write && e.ep == ep && e.gen == f.gen && e.info == info {
 			s.stats.RangeCacheHits++
+			s.stats.RacesDeduped += e.redup
 			return
 		}
 		s.stats.RangeCacheMisses++
 	}
 
-	infoID := s.internInfo(info)
+	acc := access{f: f, cell: encodeCell(f.id, ep, write, fullMask), write: write,
+		infoID: s.internInfo(info)}
 	g := start >> granuleShift
 	gLast := (end - 1) >> granuleShift
-	newWord := encodeCell(f.id, ep, write, fullMask)
-	var ctr spanCtr
-	var pages int64
-
-	for g <= gLast {
-		pageIdx := g >> pageGranuleShift
-		p := s.shadow.page(pageIdx)
-		pages++
-		gStop := gLast
-		if pageEnd := pageIdx<<pageGranuleShift + pageGranuleMask; pageEnd < gStop {
-			gStop = pageEnd
-		}
-		s.walkSpan(p, g, gStop, start, end, write, f, ep, infoID, newWord, nil, &ctr)
-		g = gStop + 1
-	}
-
-	s.stats.EnginePages += pages
-	s.stats.EngineGranules += ctr.granules
-	s.stats.EngineFastGranules += ctr.fast
-	s.stats.EngineSameGranules += ctr.same
-	s.accessSeq++
-	if !s.cfg.DisableRangeCache {
-		s.rangeCache[f.id] = rangeCacheEntry{
-			start: start, end: end, ep: ep, info: info, write: write,
-			valid: true, seq: s.accessSeq,
-		}
-	}
-}
-
-// walkSpan processes granules [g, gStop] of page p for an access to
-// [start, end). It is the one shared inner loop: the sequential batched
-// engine calls it with sink == nil (races reported inline) and
-// AnnotateBatch workers call it with a per-worker candidate sink
-// (shard.go). The interior full-mask sub-range is clipped once, then
-// streamed through the packed-word screen.
-func (s *Sanitizer) walkSpan(p *shadowPage, g, gStop, start, end uint64,
-	write bool, f *Fiber, ep vclock.Epoch, infoID uint32, newWord uint64,
-	sink *[]raceCand, ctr *spanCtr) {
-	// Interior granules of the whole range: full byte mask.
+	// Interior granules of the whole range carry the full byte mask.
 	gIntLo := (start + granuleBytes - 1) >> granuleShift
 	gIntHi := end>>granuleShift - 1
 	if end < granuleBytes {
 		gIntLo, gIntHi = 1, 0 // no interior
 	}
-
-	// Leading partial granules on this page.
-	for ; g <= gStop && g < gIntLo; g++ {
-		gBase := g << granuleShift
-		s.checkGranule(p, int(g&pageGranuleMask), g, partialMask(gBase, start, end),
-			write, f, ep, infoID, memspace.Addr(gBase), sink)
-		ctr.granules++
+	var ctr spanCtr
+	for g <= gLast {
+		wi := g >> pageGranuleShift
+		w := s.shadow.window(wi)
+		s.stats.EnginePages++
+		gStop := min(gLast, wi<<pageGranuleShift|pageGranuleMask)
+		ctr.granules += int64(gStop-g) + 1
+		for ; g <= gStop && g < gIntLo; g++ { // the partial head granule
+			s.annotateRuns(w, wi, g, g, partialMask(g<<granuleShift, start, end), &acc, &ctr)
+		}
+		if hi := min(gStop, gIntHi); g <= hi {
+			s.annotateRuns(w, wi, g, hi, fullMask, &acc, &ctr)
+			g = hi + 1
+		}
+		for ; g <= gStop; g++ { // the partial tail granule
+			s.annotateRuns(w, wi, g, g, partialMask(g<<granuleShift, start, end), &acc, &ctr)
+		}
 	}
 
-	// Interior granules: one packed-word compare screens out granules
-	// already holding this access; a second compare detects the exact
-	// same shadow word (same epoch, same site) and skips the store too.
-	intStop := gStop
-	if gIntHi < intStop {
-		intStop = gIntHi
+	s.stats.EngineGranules += ctr.granules
+	s.stats.EngineFastGranules += ctr.fast
+	s.stats.EngineSameGranules += ctr.same
+	s.stats.EngineRuns += ctr.runs
+	s.accessSeq++
+	if !s.cfg.DisableRangeCache {
+		s.rangeCache[f.id] = rangeCacheEntry{
+			start: start, end: end, ep: ep, gen: f.gen, info: info, write: write,
+			valid: true, seq: s.accessSeq, redup: ctr.redup,
+		}
 	}
-	if g <= intStop {
-		n := int(intStop-g) + 1
-		ctr.granules += int64(n)
-		k := s.cfg.CellsPerGranule
-		screen := newWord & screenMask
-		giLo := int(g & pageGranuleMask)
-		// Equal-length subslices let the compiler drop the bounds checks
-		// from the streaming loop.
-		c0 := p.cells[0][giLo : giLo+n]
-		f0 := p.infos[0][giLo : giLo+n]
-		switch {
-		case k == 1 || p.aux == 0:
-			// Either there are no secondary planes or (aux == 0) they are
-			// provably all-zero, so screening needs only plane 0. A
-			// checkGranule below may populate a secondary cell, but only
-			// for its own granule — granules still ahead of the loop
-			// keep their secondary cells empty.
-			for j := 0; j < n; j++ {
-				c := c0[j]
-				if c == newWord && f0[j] == infoID {
-					ctr.same++
-					continue
+}
+
+// annotateRuns applies acc with byte mask mask to global granules
+// [gLo, gHi] of window w (index wi): split the boundary runs, check and
+// store once per run inside, then coalesce.
+func (s *Sanitizer) annotateRuns(w *shadowWindow, wi, gLo, gHi uint64, mask uint8,
+	acc *access, ctr *spanCtr) {
+	k := s.cfg.CellsPerGranule
+	lo, hi := int(gLo&pageGranuleMask), int(gHi&pageGranuleMask)+1
+	first := w.split(lo, k)
+	stop := len(w.starts)
+	if hi < pageGranules {
+		stop = w.split(hi, k)
+	}
+	nc := acc.cell&^uint64(fullMask) | uint64(mask)
+	for i := first; i < stop; i++ {
+		rlo := int(w.starts[i])
+		n := w.end(i) - rlo
+		g := wi<<pageGranuleShift | uint64(rlo)
+		cells, infos := w.cells[i*k:(i+1)*k], w.infos[i*k:(i+1)*k]
+		ctr.runs++
+		slot, conflicts := s.checkCells(cells, infos, mask, acc.write, acc.f, acc.infoID,
+			memspace.Addr(g<<granuleShift))
+		// Every other granule of the run raises the same reports again,
+		// each one a duplicate by then.
+		s.stats.RacesDeduped += int64(n-1) * int64(conflicts)
+		ctr.redup += int64(n) * int64(conflicts)
+		if slot < 0 && k > 1 && n > 1 {
+			// All cells concurrent: the evicted slot rotates with the
+			// granule, so the run no longer holds one state.
+			w.explode(i, n, k)
+			for r := 0; r < n; r++ {
+				e := (i+r)*k + int((g+uint64(r))%uint64(k))
+				if acc.conflicts(w.cells[e], mask) {
+					ctr.redup--
 				}
-				if c == 0 || c&screenMask == screen {
-					c0[j] = newWord
-					f0[j] = infoID
-					ctr.fast++
-					continue
-				}
-				s.checkGranule(p, giLo+j, g+uint64(j), fullMask, write, f, ep,
-					infoID, memspace.Addr((g+uint64(j))<<granuleShift), sink)
+				w.cells[e], w.infos[e] = nc, acc.infoID
 			}
-		case k == 2:
-			c1 := p.cells[1][giLo : giLo+n]
-			for j := 0; j < n; j++ {
-				c := c0[j]
-				if c == newWord && c1[j] == 0 && f0[j] == infoID {
-					ctr.same++
-					continue
-				}
-				if (c == 0 || c&screenMask == screen) && c1[j] == 0 {
-					c0[j] = newWord
-					f0[j] = infoID
-					ctr.fast++
-					continue
-				}
-				s.checkGranule(p, giLo+j, g+uint64(j), fullMask, write, f, ep,
-					infoID, memspace.Addr((g+uint64(j))<<granuleShift), sink)
-			}
-		default:
-			for j := 0; j < n; j++ {
-				c := c0[j]
-				if c == 0 || c&screenMask == screen {
-					clean := true
-					for i := 1; i < k; i++ {
-						if p.cells[i][giLo+j] != 0 {
-							clean = false
-							break
-						}
-					}
-					if clean {
-						if c == newWord && f0[j] == infoID {
-							ctr.same++
-						} else {
-							c0[j] = newWord
-							f0[j] = infoID
-							ctr.fast++
-						}
-						continue
-					}
-				}
-				s.checkGranule(p, giLo+j, g+uint64(j), fullMask, write, f, ep,
-					infoID, memspace.Addr((g+uint64(j))<<granuleShift), sink)
+			i += n - 1
+			stop += n - 1
+			continue
+		}
+		if slot < 0 {
+			slot = int(g % uint64(k))
+			if acc.conflicts(cells[slot], mask) {
+				ctr.redup -= int64(n)
 			}
 		}
-		g += uint64(n)
+		switch {
+		case cells[slot] == nc && infos[slot] == acc.infoID:
+			ctr.same += int64(n)
+		case n > 1:
+			ctr.fast += int64(n)
+			fallthrough
+		default:
+			cells[slot], infos[slot] = nc, acc.infoID
+		}
 	}
-
-	// Trailing partial granules on this page.
-	for ; g <= gStop; g++ {
-		gBase := g << granuleShift
-		s.checkGranule(p, int(g&pageGranuleMask), g, partialMask(gBase, start, end),
-			write, f, ep, infoID, memspace.Addr(gBase), sink)
-		ctr.granules++
-	}
+	w.coalesce(first, stop, k)
 }

@@ -14,7 +14,7 @@ import (
 //   - the zero word is reserved for "empty" — no real access (mask != 0,
 //     fiber/epoch in range with epoch >= 1) encodes to zero;
 //   - the write flag lives in bit 11, the fiber in bits 63..52 (the
-//     batched fast path reads both fields with raw shifts).
+//     layout DESIGN.md §16 documents).
 func FuzzShadowCellRoundTrip(f *testing.F) {
 	f.Add(uint16(0), uint64(1), false, byte(0xFF))
 	f.Add(uint16(1), uint64(1), true, byte(0x01))
@@ -35,7 +35,7 @@ func FuzzShadowCellRoundTrip(f *testing.F) {
 			t.Fatalf("real access (%d,%d,%v,%#x) encoded to the empty word",
 				fiber, epoch, write, mask)
 		}
-		// The batched fast path's raw field extraction must agree with
+		// Raw field extraction by the documented layout must agree with
 		// decodeCell.
 		wbit := uint64(0)
 		if write {
