@@ -271,6 +271,26 @@ func TestDefaultStreamSyncCoversBlockingStreams(t *testing.T) {
 	}
 }
 
+func TestDestroyedStreamLeavesBarriers(t *testing.T) {
+	// A default-stream launch acquires and releases its own arc and the
+	// arc of every live blocking user stream; a destroyed stream and a
+	// non-blocking one take no part.
+	e := newEnv(t, Options{})
+	s1 := e.dev.StreamCreate(false)
+	e.dev.StreamCreate(false) // s2, live
+	e.dev.StreamCreate(true)
+	if err := e.dev.StreamDestroy(s1); err != nil {
+		t.Fatal(err)
+	}
+	b := e.allocDev(t)
+	before := e.rt.Counters()
+	e.launch(t, "writer", nil, b)
+	after := e.rt.Counters()
+	if ha, hb := after.HAAnnotations-before.HAAnnotations, after.HBAnnotations-before.HBAnnotations; ha != 1 || hb != 2 {
+		t.Fatalf("default-stream launch: %d acquires, %d releases; want 1 (s2) and 2 (own arc, s2)", ha, hb)
+	}
+}
+
 func TestNonBlockingStreamExemptFromBarriers(t *testing.T) {
 	// A non-blocking stream does not participate in default-stream
 	// barriers: syncing the default stream must NOT cover it.

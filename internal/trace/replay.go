@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"cusango/internal/cuda"
 	"cusango/internal/cusan"
@@ -98,6 +99,10 @@ type replayer struct {
 
 	loadInfo  *tsan.AccessInfo
 	storeInfo *tsan.AccessInfo
+
+	// kl is the reused kernel-launch callback argument: the CuSan hook
+	// does not retain it past the call.
+	kl cuda.KernelLaunch
 }
 
 // stream returns the fabricated handle for a recorded stream id,
@@ -248,15 +253,18 @@ func (r *replayer) apply(ev *Event) error {
 	return nil
 }
 
-// launch rebuilds the instrumented kernel-launch callback argument.
+// launch rebuilds the instrumented kernel-launch callback argument in
+// the replayer's reused launch.
 func (r *replayer) launch(ev *Event) *cuda.KernelLaunch {
-	l := &cuda.KernelLaunch{
+	l := &r.kl
+	n := len(ev.Args)
+	*l = cuda.KernelLaunch{
 		Name:   ev.Name,
 		Grid:   kinterp.Dim2(int(ev.GridX), int(ev.GridY)),
 		Block:  kinterp.Dim2(int(ev.BlockX), int(ev.BlockY)),
-		Args:   make([]kinterp.Arg, len(ev.Args)),
-		Params: make([]kir.Param, len(ev.Args)),
-		Access: make([]kaccess.Access, len(ev.Args)),
+		Args:   slices.Grow(l.Args[:0], n)[:n],
+		Params: slices.Grow(l.Params[:0], n)[:n],
+		Access: slices.Grow(l.Access[:0], n)[:n],
 		Stream: r.stream(ev.Stream, ev.Flags),
 	}
 	for i := range ev.Args {
