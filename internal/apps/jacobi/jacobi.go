@@ -163,7 +163,7 @@ func Run(s *core.Session, cfg Config) (*Result, error) {
 
 	dev := s.Dev
 	if !cfg.Interpreted {
-		if err := RegisterNatives(s); err != nil {
+		if err := RegisterNatives(dev); err != nil {
 			return nil, err
 		}
 	}

@@ -7,7 +7,9 @@ import (
 	"cusango/internal/core"
 	"cusango/internal/cuda"
 	"cusango/internal/kaccess"
+	"cusango/internal/kinterp"
 	"cusango/internal/kir"
+	"cusango/internal/memspace"
 )
 
 func run(t *testing.T, flavor core.Flavor, cfg Config, ranks int) (*core.Result, []*Result) {
@@ -215,6 +217,38 @@ func BenchmarkJacobiMustCusan(b *testing.B) {
 			b.Fatal(err, res.FirstError())
 		}
 	}
+}
+
+// BenchmarkNativeJacobiStep times the native jacobi_step kernel alone
+// at one rank's share of the paper-default grid (512×256 over two ranks
+// plus halo rows: 512×130), on one worker, and reports the cost per grid
+// element. It locates a device-side change that the end-to-end app
+// benchmarks are too noisy to resolve.
+func BenchmarkNativeJacobiStep(b *testing.B) {
+	const nx, rows = 512, 130
+	eng, err := kinterp.New(Module(), kinterp.Config{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := RegisterNatives(eng); err != nil {
+		b.Fatal(err)
+	}
+	mem := memspace.New()
+	out := mem.Alloc(8*nx*rows, memspace.KindDevice)
+	in := mem.Alloc(8*nx*rows, memspace.KindDevice)
+	norm := mem.Alloc(8, memspace.KindDevice)
+	for i := int64(0); i < nx*rows; i++ {
+		mem.SetFloat64(in+memspace.Addr(8*i), float64(i%97)/97)
+	}
+	grid, block := kinterp.Dim2(nx/128, rows), kinterp.Dim2(128, 1)
+	args := []kinterp.Arg{kinterp.Ptr(out), kinterp.Ptr(in), kinterp.Ptr(norm), kinterp.Int(nx), kinterp.Int(rows)}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := eng.Launch("jacobi_step", grid, block, args, mem); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(nx*rows), "ns/element")
 }
 
 // TestNativeMatchesInterpreter pins the equivalence of the native

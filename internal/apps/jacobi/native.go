@@ -1,7 +1,6 @@
 package jacobi
 
 import (
-	"cusango/internal/core"
 	"cusango/internal/kinterp"
 	"cusango/internal/memspace"
 )
@@ -11,14 +10,17 @@ import (
 // these execute. Equivalence of the two is pinned by
 // TestNativeMatchesInterpreter.
 
-// RegisterNatives installs the native kernels on the session's device.
-func RegisterNatives(s *core.Session) error {
+// RegisterNatives installs the native kernels on a device, or directly
+// on a kernel engine.
+func RegisterNatives(dev interface {
+	RegisterNative(name string, fn kinterp.ThreadRange) error
+}) error {
 	for name, fn := range map[string]kinterp.ThreadRange{
 		"jacobi_step": nativeJacobiStep,
 		"init_field":  nativeInitField,
 		"reset_norm":  nativeResetNorm,
 	} {
-		if err := s.Dev.RegisterNative(name, fn); err != nil {
+		if err := dev.RegisterNative(name, fn); err != nil {
 			return err
 		}
 	}
@@ -30,11 +32,11 @@ func nativeJacobiStep(g kinterp.Geometry, lo, hi int, args []kinterp.Arg,
 	nx := args[3].I
 	rows := args[4].I
 	n := nx * rows
-	out, err := kinterp.NewVecF64(view, args[0].Ptr, n)
+	out, err := view.Float64s(args[0].Ptr, n)
 	if err != nil {
 		return err
 	}
-	in, err := kinterp.NewVecF64(view, args[1].Ptr, n)
+	in, err := view.Float64s(args[1].Ptr, n)
 	if err != nil {
 		return err
 	}
@@ -44,22 +46,30 @@ func nativeJacobiStep(g kinterp.Geometry, lo, hi int, args []kinterp.Arg,
 	// kernel's per-thread atomics produce.
 	var localNorm float64
 	added := false
-	for lin := lo; lin < hi; lin++ {
-		gx, gy := g.Thread(lin)
-		ix, iy := int64(gx), int64(gy)
-		if ix < 1 || ix > nx-2 || iy < 1 || iy > rows-2 {
+	for lin := lo; lin < hi; {
+		var idx, m int64
+		idx, m, lin = g.InteriorRow(lin, hi, nx, rows)
+		if m == 0 {
 			continue
 		}
-		idx := iy*nx + ix
-		v := 0.25 * ((in.At(idx-1) + in.At(idx+1)) + (in.At(idx-nx) + in.At(idx+nx)))
-		out.Set(idx, v)
-		// absdiff(v, in[idx]) = max(v-in, in-v), matching the IR helper.
-		d := v - in.At(idx)
-		nd := in.At(idx) - v
-		if nd > d {
-			d = nd
+		// cur[i+1] is the cell out[i] updates; cur[i] and cur[i+2] are
+		// its west and east neighbours, up[i] and dn[i] its north and
+		// south ones.
+		cur := in[idx-1 : idx+m+1]
+		up := in[idx-nx : idx-nx+m]
+		dn := in[idx+nx : idx+nx+m]
+		o := out[idx : idx+m]
+		for i := range o {
+			c := cur[i+1]
+			v := 0.25 * ((cur[i] + cur[i+2]) + (up[i] + dn[i]))
+			o[i] = v
+			// absdiff(v, c) = max(v-c, c-v), matching the IR helper.
+			d := v - c
+			if nd := c - v; nd > d {
+				d = nd
+			}
+			localNorm += d
 		}
-		localNorm += d
 		added = true
 	}
 	if added {
@@ -74,22 +84,27 @@ func nativeInitField(g kinterp.Geometry, lo, hi int, args []kinterp.Arg,
 	rows := args[2].I
 	topWall := args[3].I != 0
 	botWall := args[4].I != 0
-	buf, err := kinterp.NewVecF64(view, args[0].Ptr, nx*rows)
+	buf, err := view.Float64s(args[0].Ptr, nx*rows)
 	if err != nil {
 		return err
 	}
-	for lin := lo; lin < hi; lin++ {
-		gx, gy := g.Thread(lin)
-		ix, iy := int64(gx), int64(gy)
-		if ix >= nx || iy >= rows {
+	for lin := lo; lin < hi; {
+		gx, gy, end := g.Row(lin, hi)
+		x0, x1, iy := int64(gx), min(int64(gx+end-lin), nx), int64(gy)
+		lin = end
+		if iy >= rows || x0 >= x1 {
 			continue
 		}
-		v := 0.0
-		if ix == 0 || ix == nx-1 ||
-			(topWall && iy == 0) || (botWall && iy == rows-1) {
-			v = 1.0
+		row := buf[iy*nx+x0 : iy*nx+x1]
+		wall := (topWall && iy == 0) || (botWall && iy == rows-1)
+		for i := range row {
+			ix := x0 + int64(i)
+			v := 0.0
+			if ix == 0 || ix == nx-1 || wall {
+				v = 1.0
+			}
+			row[i] = v
 		}
-		buf.Set(iy*nx+ix, v)
 	}
 	return nil
 }
@@ -99,11 +114,11 @@ func nativeResetNorm(g kinterp.Geometry, lo, hi int, args []kinterp.Arg,
 	for lin := lo; lin < hi; lin++ {
 		gx, gy := g.Thread(lin)
 		if gx == 0 && gy == 0 {
-			norm, err := kinterp.NewVecF64(view, args[0].Ptr, 1)
+			norm, err := view.Float64s(args[0].Ptr, 1)
 			if err != nil {
 				return err
 			}
-			norm.Set(0, 0)
+			norm[0] = 0
 		}
 	}
 	return nil

@@ -1,7 +1,6 @@
 package tealeaf
 
 import (
-	"cusango/internal/core"
 	"cusango/internal/kinterp"
 	"cusango/internal/memspace"
 )
@@ -12,8 +11,11 @@ import (
 // conversions round each product as the interpreter does, so that
 // architectures with fused multiply-add cannot fuse it into a sum.
 
-// RegisterNatives installs the native kernels on the session's device.
-func RegisterNatives(s *core.Session) error {
+// RegisterNatives installs the native kernels on a device, or directly
+// on a kernel engine.
+func RegisterNatives(dev interface {
+	RegisterNative(name string, fn kinterp.ThreadRange) error
+}) error {
 	for name, fn := range map[string]kinterp.ThreadRange{
 		"tl_init":       nativeInit,
 		"tl_matvec":     nativeMatvec,
@@ -22,7 +24,7 @@ func RegisterNatives(s *core.Session) error {
 		"tl_p_update":   nativePUpdate,
 		"tl_reset_dots": nativeResetDots,
 	} {
-		if err := s.Dev.RegisterNative(name, fn); err != nil {
+		if err := dev.RegisterNative(name, fn); err != nil {
 			return err
 		}
 	}
@@ -34,45 +36,41 @@ func dims(args []kinterp.Arg) (nx, rows int64) {
 	return args[len(args)-2].I, args[len(args)-1].I
 }
 
-// interior reports whether (ix, iy) is an interior point and returns its
-// linear index.
-func interior(ix, iy, nx, rows int64) (int64, bool) {
-	if ix < 1 || ix > nx-2 || iy < 1 || iy > rows-2 {
-		return 0, false
-	}
-	return iy*nx + ix, true
-}
-
 func nativeInit(g kinterp.Geometry, lo, hi int, args []kinterp.Arg, view *memspace.View, _ *kinterp.Reduction) error {
 	nx, rows := dims(args)
 	n := nx * rows
-	b, err := kinterp.NewVecF64(view, args[0].Ptr, n)
+	b, err := view.Float64s(args[0].Ptr, n)
 	if err != nil {
 		return err
 	}
-	r, err := kinterp.NewVecF64(view, args[1].Ptr, n)
+	r, err := view.Float64s(args[1].Ptr, n)
 	if err != nil {
 		return err
 	}
-	p, err := kinterp.NewVecF64(view, args[2].Ptr, n)
+	p, err := view.Float64s(args[2].Ptr, n)
 	if err != nil {
 		return err
 	}
 	loX, hiX := nx/4, nx-nx/4
 	loY, hiY := rows/4, rows-rows/4
-	for lin := lo; lin < hi; lin++ {
-		gx, gy := g.Thread(lin)
-		idx, ok := interior(int64(gx), int64(gy), nx, rows)
-		if !ok {
+	for lin := lo; lin < hi; {
+		var idx, m int64
+		idx, m, lin = g.InteriorRow(lin, hi, nx, rows)
+		if m == 0 {
 			continue
 		}
-		v := 0.0
-		if int64(gx) >= loX && int64(gx) < hiX && int64(gy) >= loY && int64(gy) < hiY {
-			v = 10.0
+		iy := idx / nx
+		x0 := idx - iy*nx
+		hot := iy >= loY && iy < hiY
+		for i, x := int64(0), x0; i < m; i, x = i+1, x+1 {
+			v := 0.0
+			if hot && x >= loX && x < hiX {
+				v = 10.0
+			}
+			b[idx+i] = v
+			r[idx+i] = v
+			p[idx+i] = v
 		}
-		b.Set(idx, v)
-		r.Set(idx, v)
-		p.Set(idx, v)
 	}
 	return nil
 }
@@ -80,24 +78,32 @@ func nativeInit(g kinterp.Geometry, lo, hi int, args []kinterp.Arg, view *memspa
 func nativeMatvec(g kinterp.Geometry, lo, hi int, args []kinterp.Arg, view *memspace.View, _ *kinterp.Reduction) error {
 	nx, rows := dims(args)
 	n := nx * rows
-	w, err := kinterp.NewVecF64(view, args[0].Ptr, n)
+	w, err := view.Float64s(args[0].Ptr, n)
 	if err != nil {
 		return err
 	}
-	p, err := kinterp.NewVecF64(view, args[1].Ptr, n)
+	p, err := view.Float64s(args[1].Ptr, n)
 	if err != nil {
 		return err
 	}
 	k := args[2].F
 	diag := 1 + float64(4*k)
-	for lin := lo; lin < hi; lin++ {
-		gx, gy := g.Thread(lin)
-		idx, ok := interior(int64(gx), int64(gy), nx, rows)
-		if !ok {
+	for lin := lo; lin < hi; {
+		var idx, m int64
+		idx, m, lin = g.InteriorRow(lin, hi, nx, rows)
+		if m == 0 {
 			continue
 		}
-		sum := (p.At(idx-1) + p.At(idx+1)) + (p.At(idx-nx) + p.At(idx+nx))
-		w.Set(idx, float64(diag*p.At(idx))-float64(k*sum))
+		// cur[i+1] is the cell out[i] updates; cur[i], cur[i+2], up[i]
+		// and dn[i] are its west, east, north and south neighbours.
+		cur := p[idx-1 : idx+m+1]
+		up := p[idx-nx : idx-nx+m]
+		dn := p[idx+nx : idx+nx+m]
+		out := w[idx : idx+m]
+		for i := range out {
+			sum := (cur[i] + cur[i+2]) + (up[i] + dn[i])
+			out[i] = float64(diag*cur[i+1]) - float64(k*sum)
+		}
 	}
 	return nil
 }
@@ -106,11 +112,11 @@ func nativeDot(g kinterp.Geometry, lo, hi int, args []kinterp.Arg, view *memspac
 	nx, rows := dims(args)
 	n := nx * rows
 	slot := args[1].I
-	a, err := kinterp.NewVecF64(view, args[2].Ptr, n)
+	a, err := view.Float64s(args[2].Ptr, n)
 	if err != nil {
 		return err
 	}
-	b, err := kinterp.NewVecF64(view, args[3].Ptr, n)
+	b, err := view.Float64s(args[3].Ptr, n)
 	if err != nil {
 		return err
 	}
@@ -118,13 +124,16 @@ func nativeDot(g kinterp.Geometry, lo, hi int, args []kinterp.Arg, view *memspac
 	// is the segment partial of the IR kernel's per-thread atomics.
 	var local float64
 	added := false
-	for lin := lo; lin < hi; lin++ {
-		gx, gy := g.Thread(lin)
-		idx, ok := interior(int64(gx), int64(gy), nx, rows)
-		if !ok {
+	for lin := lo; lin < hi; {
+		var idx, m int64
+		idx, m, lin = g.InteriorRow(lin, hi, nx, rows)
+		if m == 0 {
 			continue
 		}
-		local += float64(a.At(idx) * b.At(idx))
+		ar, br := a[idx:idx+m], b[idx:idx+m]
+		for i := range ar {
+			local += float64(ar[i] * br[i])
+		}
 		added = true
 	}
 	if added {
@@ -136,22 +145,25 @@ func nativeDot(g kinterp.Geometry, lo, hi int, args []kinterp.Arg, view *memspac
 func nativeAxpy(g kinterp.Geometry, lo, hi int, args []kinterp.Arg, view *memspace.View, _ *kinterp.Reduction) error {
 	nx, rows := dims(args)
 	n := nx * rows
-	y, err := kinterp.NewVecF64(view, args[0].Ptr, n)
+	y, err := view.Float64s(args[0].Ptr, n)
 	if err != nil {
 		return err
 	}
-	x, err := kinterp.NewVecF64(view, args[1].Ptr, n)
+	x, err := view.Float64s(args[1].Ptr, n)
 	if err != nil {
 		return err
 	}
 	alpha := args[2].F
-	for lin := lo; lin < hi; lin++ {
-		gx, gy := g.Thread(lin)
-		idx, ok := interior(int64(gx), int64(gy), nx, rows)
-		if !ok {
+	for lin := lo; lin < hi; {
+		var idx, m int64
+		idx, m, lin = g.InteriorRow(lin, hi, nx, rows)
+		if m == 0 {
 			continue
 		}
-		y.Set(idx, y.At(idx)+float64(alpha*x.At(idx)))
+		yr, xr := y[idx:idx+m], x[idx:idx+m]
+		for i := range yr {
+			yr[i] += float64(alpha * xr[i])
+		}
 	}
 	return nil
 }
@@ -159,35 +171,38 @@ func nativeAxpy(g kinterp.Geometry, lo, hi int, args []kinterp.Arg, view *memspa
 func nativePUpdate(g kinterp.Geometry, lo, hi int, args []kinterp.Arg, view *memspace.View, _ *kinterp.Reduction) error {
 	nx, rows := dims(args)
 	n := nx * rows
-	p, err := kinterp.NewVecF64(view, args[0].Ptr, n)
+	p, err := view.Float64s(args[0].Ptr, n)
 	if err != nil {
 		return err
 	}
-	r, err := kinterp.NewVecF64(view, args[1].Ptr, n)
+	r, err := view.Float64s(args[1].Ptr, n)
 	if err != nil {
 		return err
 	}
 	beta := args[2].F
-	for lin := lo; lin < hi; lin++ {
-		gx, gy := g.Thread(lin)
-		idx, ok := interior(int64(gx), int64(gy), nx, rows)
-		if !ok {
+	for lin := lo; lin < hi; {
+		var idx, m int64
+		idx, m, lin = g.InteriorRow(lin, hi, nx, rows)
+		if m == 0 {
 			continue
 		}
-		p.Set(idx, r.At(idx)+float64(beta*p.At(idx)))
+		pr, rr := p[idx:idx+m], r[idx:idx+m]
+		for i := range pr {
+			pr[i] = rr[i] + float64(beta*pr[i])
+		}
 	}
 	return nil
 }
 
 func nativeResetDots(g kinterp.Geometry, lo, hi int, args []kinterp.Arg, view *memspace.View, _ *kinterp.Reduction) error {
-	acc, err := kinterp.NewVecF64(view, args[0].Ptr, 2)
+	acc, err := view.Float64s(args[0].Ptr, 2)
 	if err != nil {
 		return err
 	}
 	for lin := lo; lin < hi; lin++ {
 		gx, gy := g.Thread(lin)
 		if gy == 0 && gx < 2 {
-			acc.Set(int64(gx), 0)
+			acc[gx] = 0
 		}
 	}
 	return nil

@@ -286,7 +286,7 @@ func Run(s *core.Session, cfg Config) (*Result, error) {
 	n := nx * rows
 
 	if !cfg.Interpreted {
-		if err := RegisterNatives(s); err != nil {
+		if err := RegisterNatives(s.Dev); err != nil {
 			return nil, err
 		}
 	}

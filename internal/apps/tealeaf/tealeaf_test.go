@@ -6,7 +6,9 @@ import (
 
 	"cusango/internal/core"
 	"cusango/internal/kaccess"
+	"cusango/internal/kinterp"
 	"cusango/internal/kir"
+	"cusango/internal/memspace"
 )
 
 func run(t *testing.T, flavor core.Flavor, cfg Config, ranks int) (*core.Result, []*Result) {
@@ -215,6 +217,36 @@ func BenchmarkTeaLeafMustCusan(b *testing.B) {
 			b.Fatal(err, res.FirstError())
 		}
 	}
+}
+
+// BenchmarkNativeTeaLeafMatvec times the native tl_matvec kernel alone
+// at one rank's share of the benchmark grid (96×96 over two ranks plus
+// halo rows: 96×50), on one worker, and reports the cost per grid
+// element.
+func BenchmarkNativeTeaLeafMatvec(b *testing.B) {
+	const nx, rows = 96, 50
+	eng, err := kinterp.New(Module(), kinterp.Config{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := RegisterNatives(eng); err != nil {
+		b.Fatal(err)
+	}
+	mem := memspace.New()
+	w := mem.Alloc(8*nx*rows, memspace.KindDevice)
+	p := mem.Alloc(8*nx*rows, memspace.KindDevice)
+	for i := int64(0); i < nx*rows; i++ {
+		mem.SetFloat64(p+memspace.Addr(8*i), float64(i%97)/97)
+	}
+	grid, block := kinterp.Dim2(1, rows), kinterp.Dim2(128, 1)
+	args := []kinterp.Arg{kinterp.Ptr(w), kinterp.Ptr(p), kinterp.F64(100), kinterp.Int(nx), kinterp.Int(rows)}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := eng.Launch("tl_matvec", grid, block, args, mem); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(nx*rows), "ns/element")
 }
 
 // TestNativeMatchesInterpreter pins the equivalence of the native

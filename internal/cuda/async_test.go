@@ -49,14 +49,14 @@ func slowFill(started chan<- struct{}, delay time.Duration) kinterp.ThreadRange 
 		}
 		time.Sleep(delay)
 		n := args[1].I
-		buf, err := kinterp.NewVecF64(view, args[0].Ptr, n)
+		buf, err := view.Float64s(args[0].Ptr, n)
 		if err != nil {
 			return err
 		}
 		for lin := lo; lin < hi; lin++ {
 			gx, _ := g.Thread(lin)
 			if int64(gx) < n {
-				buf.Set(int64(gx), 7)
+				buf[gx] = 7
 			}
 		}
 		return nil

@@ -2,7 +2,6 @@ package kinterp
 
 import (
 	"fmt"
-	"sync"
 
 	"cusango/internal/memspace"
 )
@@ -19,8 +18,12 @@ import (
 // verification and to the kaccess compiler analysis (exactly as the real
 // toolchain analyzes IR but runs machine code).
 //
-// Equivalence between a kernel's IR and native implementations is a
-// testable property; the apps' tests compare both modes bit for bit.
+// A native kernel resolves each buffer once per call as a typed view of
+// simulated memory (memspace.View.Float64s, a []float64 aliasing the
+// allocation's bytes) and walks its threads one row run at a time
+// (Geometry.Row, Geometry.InteriorRow), so its inner loop is plain slice
+// indexing. Equivalence between a kernel's IR and native implementations
+// is a testable property; the apps' tests compare both modes bit for bit.
 
 // ThreadRange executes device threads [lo, hi) of a launch natively.
 // Implementations derive per-thread geometry from the linear id exactly
@@ -46,6 +49,36 @@ func (g Geometry) Thread(lin int) (gx, gy int) {
 	return lin % w, lin / w
 }
 
+// Row decomposes thread lin and returns the end of its row run in
+// [lin, hi): threads lin..end-1 lie in global row gy at consecutive
+// global x from gx. Native kernels walk their range one row run at a
+// time, which costs one decomposition per row instead of one per thread
+// and leaves an inner loop of plain slice indexing.
+func (g Geometry) Row(lin, hi int) (gx, gy, end int) {
+	w := g.GlobalWidth()
+	gx, gy = lin%w, lin/w
+	return gx, gy, min(hi, lin+w-gx)
+}
+
+// InteriorRow is Row clamped to the interior of an nx × rows grid whose
+// outermost cells are boundary, the domain of the stencil kernels: the
+// threads of the row run that start at lin and map to interior cells
+// are n cells from linear index idx (n is 0 if there are none). The
+// next run starts at end.
+func (g Geometry) InteriorRow(lin, hi int, nx, rows int64) (idx, n int64, end int) {
+	gx, gy, end := g.Row(lin, hi)
+	iy := int64(gy)
+	if iy < 1 || iy > rows-2 {
+		return 0, 0, end
+	}
+	x0 := max(int64(gx), 1)
+	x1 := min(int64(gx+end-lin), nx-1)
+	if x0 >= x1 {
+		return 0, 0, end
+	}
+	return iy*nx + x0, x1 - x0, end
+}
+
 // RegisterNative installs a native implementation for kernel name. The
 // kernel must exist in the module and be a launchable entry.
 func (e *Engine) RegisterNative(name string, fn ThreadRange) error {
@@ -69,40 +102,6 @@ func (e *Engine) HasNative(name string) bool {
 	return ok
 }
 
-// VecF64 is a helper for native kernels: a float64 view over simulated
-// memory, resolved once per kernel range instead of per access.
-type VecF64 struct {
-	b []byte
-}
-
-// NewVecF64 resolves count float64 elements at addr.
-func NewVecF64(view *memspace.View, addr memspace.Addr, count int64) (VecF64, error) {
-	b, err := view.Bytes(addr, count*8)
-	if err != nil {
-		return VecF64{}, err
-	}
-	return VecF64{b: b}, nil
-}
-
-// Len returns the element count.
-func (v VecF64) Len() int { return len(v.b) / 8 }
-
-// At loads element i.
-func (v VecF64) At(i int64) float64 {
-	return lef64(v.b[i*8 : i*8+8])
-}
-
-// Set stores element i.
-func (v VecF64) Set(i int64, x float64) {
-	pef64(v.b[i*8:i*8+8], x)
-}
-
-// Add adds x to element i (single-threaded callers only; reductions
-// across threads go through Reduction.AtomicAddF64).
-func (v VecF64) Add(i int64, x float64) {
-	pef64(v.b[i*8:i*8+8], lef64(v.b[i*8:i*8+8])+x)
-}
-
 // AtomicAddF64 is atomicAdd for native kernels: it folds x into the
 // partial for addr of the segment the current call covers, which the
 // engine adds to memory when the launch ends (see Launch). Folding a
@@ -119,23 +118,5 @@ func (r *Reduction) AtomicAddF64(view *memspace.View, addr memspace.Addr, x floa
 		return err
 	}
 	r.add(b, x)
-	return nil
-}
-
-// globalAtomicMu serializes GlobalAtomicAddF64.
-var globalAtomicMu sync.Mutex
-
-// GlobalAtomicAddF64 adds x at addr under a process-wide lock. Concurrent
-// callers are applied in whatever order they take the lock, so it is not
-// for use inside a launch: native kernels reduce through
-// Reduction.AtomicAddF64, which fixes the summation order.
-func GlobalAtomicAddF64(view *memspace.View, addr memspace.Addr, x float64) error {
-	b, err := view.Bytes(addr, 8)
-	if err != nil {
-		return err
-	}
-	globalAtomicMu.Lock()
-	pef64(b, lef64(b)+x)
-	globalAtomicMu.Unlock()
 	return nil
 }

@@ -2,6 +2,7 @@ package kinterp
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"cusango/internal/memspace"
@@ -10,18 +11,18 @@ import (
 // nativeCopy mirrors the IR copy kernel of copyModule.
 func nativeCopy(g Geometry, lo, hi int, args []Arg, view *memspace.View, _ *Reduction) error {
 	n := args[2].I
-	out, err := NewVecF64(view, args[0].Ptr, n)
+	out, err := view.Float64s(args[0].Ptr, n)
 	if err != nil {
 		return err
 	}
-	in, err := NewVecF64(view, args[1].Ptr, n)
+	in, err := view.Float64s(args[1].Ptr, n)
 	if err != nil {
 		return err
 	}
 	for lin := lo; lin < hi; lin++ {
 		gx, _ := g.Thread(lin)
 		if int64(gx) < n {
-			out.Set(int64(gx), in.At(int64(gx)))
+			out[gx] = in[gx]
 		}
 	}
 	return nil
@@ -118,47 +119,6 @@ func TestNativeErrorWrapped(t *testing.T) {
 	}
 }
 
-func TestVecF64Accessors(t *testing.T) {
-	mem := memspace.New()
-	a := mem.Alloc(32, memspace.KindDevice)
-	view := mem.NewView()
-	v, err := NewVecF64(view, a, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Len() != 4 {
-		t.Fatalf("len = %d", v.Len())
-	}
-	v.Set(2, 6.5)
-	if v.At(2) != 6.5 || mem.Float64(a+16) != 6.5 {
-		t.Fatal("Set/At not aliasing memory")
-	}
-	v.Add(2, 1.5)
-	if v.At(2) != 8.0 {
-		t.Fatal("Add wrong")
-	}
-	if _, err := NewVecF64(view, a, 5); err == nil {
-		t.Fatal("oversized view must fail")
-	}
-}
-
-func TestGlobalAtomicAdd(t *testing.T) {
-	mem := memspace.New()
-	a := mem.Alloc(8, memspace.KindDevice)
-	view := mem.NewView()
-	for i := 0; i < 10; i++ {
-		if err := GlobalAtomicAddF64(view, a, 2.5); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := mem.Float64(a); got != 25 {
-		t.Fatalf("sum = %v", got)
-	}
-	if err := GlobalAtomicAddF64(view, memspace.Addr(1), 1); err == nil {
-		t.Fatal("bad address must fail")
-	}
-}
-
 func TestGeometryThread(t *testing.T) {
 	g := Geometry{Grid: Dim2(4, 3), Block: Dim2(8, 2)}
 	if g.GlobalWidth() != 32 {
@@ -171,6 +131,56 @@ func TestGeometryThread(t *testing.T) {
 	gx, gy = g.Thread(33)
 	if gx != 1 || gy != 1 {
 		t.Fatalf("thread 33 = (%d,%d)", gx, gy)
+	}
+}
+
+// TestGeometryRowWalk: walking a thread range by Row and InteriorRow
+// visits exactly the threads, and in the same ascending order, as
+// decomposing each thread with Thread, for launches narrower than,
+// as wide as and wider than the grid, from ranges that start and end
+// mid-row.
+func TestGeometryRowWalk(t *testing.T) {
+	const nx, rows = 13, 7
+	for _, g := range []Geometry{
+		{Grid: Dim2(1, rows), Block: Dim2(nx, 1)},
+		{Grid: Dim2(2, rows), Block: Dim2(8, 1)},
+		{Grid: Dim2(3, 4), Block: Dim2(4, 2)},
+		{Grid: Dim(1), Block: Dim(5)},
+	} {
+		total := g.Grid.Count() * g.Block.Count()
+		for _, r := range [][2]int{{0, total}, {3, total - 2}, {17, 18}, {5, 5}, {20, 61}} {
+			lo, hi := r[0], min(r[1], total)
+			var wantAll, wantIn, gotAll, gotIn []int64
+			for lin := lo; lin < hi; lin++ {
+				gx, gy := g.Thread(lin)
+				x, y := int64(gx), int64(gy)
+				wantAll = append(wantAll, y*1000+x)
+				if x >= 1 && x <= nx-2 && y >= 1 && y <= rows-2 {
+					wantIn = append(wantIn, y*nx+x)
+				}
+			}
+			for lin := lo; lin < hi; {
+				gx, gy, end := g.Row(lin, hi)
+				if end <= lin || end > hi {
+					t.Fatalf("%+v [%d,%d): Row(%d) ends at %d", g, lo, hi, lin, end)
+				}
+				for x := gx; x < gx+end-lin; x++ {
+					gotAll = append(gotAll, int64(gy)*1000+int64(x))
+				}
+				var idx, n int64
+				idx, n, lin = g.InteriorRow(lin, hi, nx, rows)
+				if lin != end {
+					t.Fatalf("%+v: InteriorRow ends at %d, Row at %d", g, lin, end)
+				}
+				for i := int64(0); i < n; i++ {
+					gotIn = append(gotIn, idx+i)
+				}
+			}
+			if !slices.Equal(gotAll, wantAll) || !slices.Equal(gotIn, wantIn) {
+				t.Fatalf("%+v [%d,%d):\nrows %v\nwant %v\ninterior %v\nwant     %v",
+					g, lo, hi, gotAll, wantAll, gotIn, wantIn)
+			}
+		}
 	}
 }
 

@@ -37,7 +37,7 @@ func reduceModule() *kir.Module {
 // zero in ascending thread order and publishes each fold once.
 func nativeReduce(g Geometry, lo, hi int, args []Arg, view *memspace.View, red *Reduction) error {
 	n := args[2].I
-	in, err := NewVecF64(view, args[1].Ptr, n)
+	in, err := view.Float64s(args[1].Ptr, n)
 	if err != nil {
 		return err
 	}
@@ -45,7 +45,7 @@ func nativeReduce(g Geometry, lo, hi int, args []Arg, view *memspace.View, red *
 	var added [2]bool
 	for lin := lo; lin < hi; lin++ {
 		if gx, _ := g.Thread(lin); int64(gx) < n {
-			local[gx%2] += in.At(int64(gx))
+			local[gx%2] += in[gx]
 			added[gx%2] = true
 		}
 	}

@@ -170,7 +170,10 @@ func (m *Memory) OnAlloc(h AllocHook) { m.allocHooks = append(m.allocHooks, h) }
 // OnFree registers a hook invoked before every free.
 func (m *Memory) OnFree(h FreeHook) { m.freeHooks = append(m.freeHooks, h) }
 
-const allocAlign = 64 // cache-line-ish alignment, keeps granules aligned
+// allocAlign is the alignment of every segment base: cache-line-ish,
+// keeps granules aligned, and a multiple of 8 so that typed views line
+// up with the backing store (see typed.go).
+const allocAlign = 64
 
 // Alloc reserves size bytes of the given kind and returns the base address.
 // The memory is zeroed. Alloc panics if kind is invalid or size < 0; a
@@ -191,7 +194,7 @@ func (m *Memory) Alloc(size int64, kind Kind) Addr {
 	if m.next[kind]>>regionShift != base>>regionShift {
 		panic(fmt.Sprintf("memspace: %v region exhausted", kind))
 	}
-	seg := &Segment{Base: base, Size: size, Kind: kind, data: make([]byte, size)}
+	seg := &Segment{Base: base, Size: size, Kind: kind, data: newBacking(size)}
 	m.insert(seg)
 	m.liveBytes += size
 	if m.liveBytes > m.peakBytes {

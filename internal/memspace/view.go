@@ -1,6 +1,9 @@
 package memspace
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // View is an immutable snapshot of the segment table for concurrent
 // readers. The kernel interpreter creates one View per worker goroutine so
@@ -51,4 +54,22 @@ func (v *View) Bytes(a Addr, n int64) ([]byte, error) {
 	}
 	off := int64(a - seg.Base)
 	return seg.data[off : off+n : off+n], nil
+}
+
+// Float64s returns the n float64 elements at [a, a+8n) as a typed slice
+// that aliases the live bytes (see typed.go for the layout). It makes
+// the checks of Bytes and also fails with an *AccessError if a is not
+// 8-byte aligned.
+func (v *View) Float64s(a Addr, n int64) ([]float64, error) {
+	if n < 0 || n > math.MaxInt64/8 {
+		return nil, &AccessError{Op: "view-range", Addr: a, Len: n}
+	}
+	if a%8 != 0 {
+		return nil, &AccessError{Op: "view-misaligned", Addr: a, Len: 8 * n}
+	}
+	b, err := v.Bytes(a, 8*n)
+	if err != nil {
+		return nil, err
+	}
+	return float64s(b), nil
 }

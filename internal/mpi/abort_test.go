@@ -252,3 +252,34 @@ func TestPostAbortBufferedSend(t *testing.T) {
 		t.Fatalf("post-abort buffered Send returned %v, want success", err)
 	}
 }
+
+// TestAbortedRankStaysDead: a rank whose injected abort fired is dead.
+// Its later operations fail with its own fault and deliver nothing, so
+// the peer's receive fails as collateral on every schedule instead of
+// matching a message sent after the death.
+func TestAbortedRankStaysDead(t *testing.T) {
+	w := NewWorld(2)
+	comms := attach(t, w)
+	plan, err := faults.Parse("mpi-abort@0:r0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	comms[0].SetInjector(plan.Injector(0))
+	sbuf := comms[0].mem.Alloc(64, memspace.KindHostPageable)
+	rbuf := comms[1].mem.Alloc(64, memspace.KindHostPageable)
+
+	first := comms[0].Send(sbuf, 8, Float64, 1, 0)
+	if f, ok := faults.Extract(first); !ok || f.Site != faults.MPIRankAbort {
+		t.Fatalf("first Send returned %v, want the injected abort", first)
+	}
+	second := comms[0].Send(sbuf, 8, Float64, 1, 0)
+	if second != first {
+		t.Fatalf("Send after death returned %v, want %v", second, first)
+	}
+	if n := w.boxes[1].unmatchedSends(); n != 0 {
+		t.Fatalf("dead rank delivered %d message(s)", n)
+	}
+	if _, err := comms[1].Recv(rbuf, 8, Float64, 0, 0); !errors.Is(err, ErrAborted) {
+		t.Fatalf("peer Recv returned %v, want ErrAborted", err)
+	}
+}

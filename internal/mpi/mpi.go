@@ -425,6 +425,9 @@ type Comm struct {
 	finalized bool
 	// ops counts full MPI operations started, against world.opBudget.
 	ops int64
+	// died is the error of this rank's own injected abort; every later
+	// operation of the rank fails with it (see enter).
+	died error
 	// live tracks incomplete requests for MUST's leak check.
 	live map[*Request]struct{}
 }
@@ -461,10 +464,20 @@ func (c *Comm) SetInjector(in *faults.Injector) { c.inj = in }
 // Iprobe), where "this operation can never complete" is a deterministic
 // property of the fault plan: the specific ranks whose participation
 // the operation still needs are dead (see waitAbortable).
+//
+// A rank that aborted is dead: each of its later operations fails with
+// the same error before it can deliver, post or contribute anything.
+// Otherwise an application that ignores the abort error would keep
+// communicating after its death flag, and whether a peer matched such a
+// message before seeing that death would be a wall-clock race.
 func (c *Comm) enter() error {
+	if c.died != nil {
+		return c.died
+	}
 	if f := c.inj.Fire(faults.MPIRankAbort); f != nil {
 		c.world.Abort(c.rank, f)
-		return fmt.Errorf("rank %d aborted: %w", c.rank, f)
+		c.died = fmt.Errorf("rank %d aborted: %w", c.rank, f)
+		return c.died
 	}
 	if f := c.inj.Fire(faults.SchedStall); f != nil {
 		// The rank wedges at this call, modelling a hung process: it

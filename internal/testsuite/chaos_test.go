@@ -1,8 +1,11 @@
 package testsuite
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 
+	"cusango/internal/campaign"
 	"cusango/internal/faults"
 	"cusango/internal/tsan"
 )
@@ -95,6 +98,39 @@ func TestChaosNilPlanMatchesBaseline(t *testing.T) {
 		}
 		if (v.Races > 0) != c.ExpectRace {
 			t.Errorf("%s: nil-plan races=%d, expect race=%v", c.Name, v.Races, c.ExpectRace)
+		}
+	}
+}
+
+// TestChaosRecordStable: the chaos job in which rank 0 ignores the
+// error of its own injected abort and sends again yields the same
+// canonical record bytes on every run. Before a dead rank's later
+// operations failed, whether rank 1 matched that second send or saw the
+// death first was a wall-clock race that flipped the record's app_fault.
+func TestChaosRecordStable(t *testing.T) {
+	const runs = 40
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, eng := range bothEngines {
+		j := campaign.Job{
+			Kind: KindChaos, Case: "must/send_count_exceeds_allocation", Engine: eng.String(),
+			Seed: 5, Faults: faults.Seeded(5, 0.05).String(),
+		}
+		var want []byte
+		for i := 0; i < runs; i++ {
+			got, err := ExecuteJob(j).JSONL(false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				want = got
+				if !bytes.Contains(got, []byte(`"injected":["mpi-abort@0:r0"]`)) {
+					t.Fatalf("%s: seed 5 no longer fires mpi-abort@0:r0; the test is vacuous: %s", eng, got)
+				}
+				continue
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s run %d:\n got %s\nwant %s", eng, i, got, want)
+			}
 		}
 	}
 }
