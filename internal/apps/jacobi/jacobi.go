@@ -134,11 +134,12 @@ func Module() *kir.Module {
 		})
 	}))
 
-	// reset_norm: one thread zeroes the accumulator.
+	// reset_norm: one thread, global (0, 0), zeroes the accumulator.
 	m.Add(kir.KernelFunc("reset_norm", []kir.Param{
 		{Name: "norm", Type: kir.TPtrF64},
 	}, func(e *kir.Emitter) {
-		e.If(e.Eq(e.GlobalIDX(), e.ConstI(0)), func() {
+		zero := e.ConstI(0)
+		e.If(e.AndI(e.Eq(e.GlobalIDX(), zero), e.Eq(e.GlobalIDY(), zero)), func() {
 			e.StoreIdx(e.Arg("norm"), e.ConstI(0), e.ConstF(0))
 		})
 	}))

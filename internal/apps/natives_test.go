@@ -96,11 +96,6 @@ func launchFresh(t *testing.T, mod *kir.Module, register func(nativeRegistry) er
 		}
 	}
 	grid, block := kinterp.Dim2((nx+blockX-1)/blockX, rows), kinterp.Dim2(blockX, 1)
-	if len(args) == len(bufs) {
-		// The accumulator resets take no grid: the apps launch them as
-		// one small block, and their IR guards on the global x alone.
-		grid, block = kinterp.Dim(1), kinterp.Dim(2)
-	}
 	if err := eng.Launch(f.Name, grid, block, args, mem); err != nil {
 		t.Fatalf("%s: %v", f.Name, err)
 	}

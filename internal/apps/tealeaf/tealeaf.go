@@ -176,12 +176,12 @@ func Module() *kir.Module {
 		})
 	}))
 
-	// tl_reset_dots: zero both accumulator slots.
+	// tl_reset_dots: threads x = 0, 1 of row 0 zero the two slots.
 	m.Add(kir.KernelFunc("tl_reset_dots", []kir.Param{
 		{Name: "acc", Type: kir.TPtrF64},
 	}, func(e *kir.Emitter) {
 		i := e.GlobalIDX()
-		e.If(e.Lt(i, e.ConstI(2)), func() {
+		e.If(e.AndI(e.Lt(i, e.ConstI(2)), e.Eq(e.GlobalIDY(), e.ConstI(0))), func() {
 			e.StoreIdx(e.Arg("acc"), i, e.ConstF(0))
 		})
 	}))

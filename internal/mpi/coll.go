@@ -71,17 +71,9 @@ func (w *World) contribute(op *collOp, seq int64, rank int, name string, data []
 		close(op.done)
 		return nil
 	}
-	if w.ctl != nil {
-		w.ctl.Block(rank, op.done)
-	}
-	// Completion wins over a concurrent abort, and the collective fails
-	// only once it can provably never complete: some participant died
-	// before arriving at this instance. A rank that arrived and died
-	// later already contributed (its arrival mark happens-before its
-	// death flag), so its death does not doom the operation — failing
-	// on it would race the death's visibility against the remaining
-	// arrivals.
-	impossible := func() bool {
+	// The collective needs every participant that has not yet arrived at
+	// this instance; one that arrived and left later already contributed.
+	return w.await(rank, op.done, func() bool {
 		w.collMu.Lock()
 		defer w.collMu.Unlock()
 		for r := 0; r < w.size; r++ {
@@ -90,28 +82,7 @@ func (w *World) contribute(op *collOp, seq int64, rank int, name string, data []
 			}
 		}
 		return false
-	}
-	for {
-		gen := w.goneWatch()
-		select {
-		case <-op.done:
-			return nil
-		default:
-		}
-		if w.tornDown() || impossible() {
-			select {
-			case <-op.done:
-				return nil
-			default:
-				return w.abortError()
-			}
-		}
-		select {
-		case <-op.done:
-			return nil
-		case <-gen:
-		}
-	}
+	})
 }
 
 // Barrier blocks until all ranks arrive (MPI_Barrier).

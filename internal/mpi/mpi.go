@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"cusango/internal/faults"
 	"cusango/internal/memspace"
@@ -110,6 +111,11 @@ type Stats struct {
 	BytesRecv         int64
 	DeviceBufferCalls int64 // calls whose buffer was device or managed
 	HostBufferCalls   int64
+	// FruitlessPolls counts Test/Iprobe calls that reported "not yet"
+	// on a request or envelope that could not complete; ParkedPolls
+	// counts those that parked instead of spinning (see Comm.poll).
+	// Both depend on timing, unlike the counters above.
+	FruitlessPolls, ParkedPolls int64
 }
 
 // Hooks is the interception interface MUST implements. All callbacks run
@@ -192,24 +198,26 @@ type World struct {
 	collMu sync.Mutex
 	colls  map[int64]*collOp
 
-	// abort plane: aborted closes once when any rank aborts the job;
-	// abortErr is written before the close and immutable afterwards.
-	// The per-rank gone channels record *which* ranks can never act
-	// again — they died (first death also aborts the job, but later
-	// deaths are still recorded) or finalized cleanly. An operation
-	// blocked after an abort fails only once the ranks whose
-	// participation it still needs are provably gone, so whether it
-	// errors or completes is a function of the fault plan, never of how
-	// fast an unrelated rank's death became visible. goneGen is a
-	// broadcast edge: it is closed and replaced on every recorded
-	// departure (and on a stuck-schedule teardown), waking blocked
-	// operations to re-evaluate their impossibility predicate.
-	abortMu  sync.Mutex
+	// Abort and departure plane, under mu. aborted closes once when the
+	// job aborts; abortErr is written before the close and immutable
+	// afterwards. goneCh[r] closes when rank r can never act again: it
+	// died, finalized, or returned. goneGen is a broadcast edge, closed
+	// and replaced on every recorded departure and on a teardown, that
+	// wakes blocked operations to re-evaluate (see await). tearDown marks
+	// an abort without a rank death (cancelled or stuck schedule).
+	mu       sync.Mutex
 	aborted  chan struct{}
 	abortErr error
 	goneCh   []chan struct{}
 	goneGen  chan struct{}
-	tearDown bool // aborted without a rank death (deadlocked schedule)
+	tearDown atomic.Bool
+
+	// Park guard, under mu: waiting[r] marks rank r blocked or parked in
+	// MPI, running counts ranks neither waiting nor gone, and release
+	// (created when a poller parks) is closed when running reaches 0.
+	waiting []bool
+	running int
+	release chan struct{}
 
 	// opBudget > 0 caps the number of full MPI operations each rank may
 	// start (the uncontrolled-run analog of the controller's step
@@ -223,7 +231,7 @@ func NewWorld(size int) *World {
 		panic("mpi: world size must be positive")
 	}
 	w := &World{size: size, colls: make(map[int64]*collOp), aborted: make(chan struct{}),
-		goneGen: make(chan struct{})}
+		goneGen: make(chan struct{}), waiting: make([]bool, size), running: size}
 	for i := 0; i < size; i++ {
 		w.boxes = append(w.boxes, newMailbox())
 		w.goneCh = append(w.goneCh, make(chan struct{}))
@@ -235,30 +243,16 @@ func NewWorld(size int) *World {
 func (w *World) Size() int { return w.size }
 
 // Abort marks the job aborted on behalf of rank (the MPI_Abort analog,
-// also used when a rank's application code dies). Every rank blocked in
-// a matching or collective call that can no longer complete unblocks
-// with ErrAborted, and future blocking calls and polls fail the same
-// way once their operation is provably dead. Operations that can still
-// complete — buffered sends, receives matched by messages the dead rank
-// delivered before dying — are allowed to finish first: completion
-// always wins over a concurrent abort, which is what makes a faulted
-// run's behaviour a pure function of the fault plan rather than of
-// goroutine scheduling (the campaign scheduler's byte-identical-report
-// guarantee relies on this). The first abort wins; later ones are
-// no-ops.
+// also used when a rank's application code dies) and records rank's
+// departure. Operations that can still complete are allowed to finish;
+// the rest fail with ErrAborted once they provably cannot (see await).
+// The first abort's cause wins; later aborts only record departures.
 func (w *World) Abort(rank int, cause error) {
-	w.abortMu.Lock()
-	defer w.abortMu.Unlock()
-	// Record this rank's departure even if the job is already aborted:
-	// impossibility predicates need to know exactly which ranks can no
-	// longer act. Everything the rank delivered or contributed
-	// happens-before this close (its MPI activity and its Abort run on
-	// one goroutine).
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	w.markGoneLocked(rank)
-	select {
-	case <-w.aborted:
+	if closed(w.aborted) {
 		return
-	default:
 	}
 	if cause != nil {
 		w.abortErr = fmt.Errorf("%w by rank %d: %w", ErrAborted, rank, cause)
@@ -288,18 +282,16 @@ func (w *World) SetOpBudget(n int64) { w.opBudget = n }
 // error wrapping cause; completion in flight still wins. The first
 // abort wins; a Cancel after a rank death is a no-op.
 func (w *World) Cancel(cause error) {
-	w.abortMu.Lock()
-	defer w.abortMu.Unlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	w.cancelLocked(cause)
 }
 
 // cancelLocked is the deathless-teardown core shared by Cancel and the
-// stuck/budget hooks. Caller holds abortMu.
+// stuck/budget hooks. Caller holds mu.
 func (w *World) cancelLocked(cause error) {
-	select {
-	case <-w.aborted:
+	if closed(w.aborted) {
 		return
-	default:
 	}
 	if cause != nil {
 		w.abortErr = fmt.Errorf("%w: %w", ErrAborted, cause)
@@ -307,8 +299,8 @@ func (w *World) cancelLocked(cause error) {
 		w.abortErr = fmt.Errorf("%w: cancelled", ErrAborted)
 	}
 	// No rank died: flag the teardown and wake every blocked operation
-	// through the death edge so impossibility predicates are bypassed.
-	w.tearDown = true
+	// through the departure edge so impossibility predicates are bypassed.
+	w.tearDown.Store(true)
 	close(w.goneGen)
 	w.goneGen = make(chan struct{})
 	if w.ctl != nil {
@@ -319,41 +311,44 @@ func (w *World) cancelLocked(cause error) {
 
 // Aborted returns the job's abort error, or nil while it is healthy.
 func (w *World) Aborted() error {
-	select {
-	case <-w.aborted:
+	if closed(w.aborted) {
 		return w.abortErr
-	default:
-		return nil
 	}
+	return nil
 }
 
 // abortError returns the job abort error under the lock. Callers hold a
 // proof their operation can never complete — usually a recorded death
 // or the teardown flag, which guarantee the error is set. The fallback
-// covers the one deathless corner (a single-rank wildcard receive with
-// nothing in flight is impossible without anyone dying).
+// covers the deathless corners: a rank that returned without aborting,
+// or a single-rank wildcard receive with nothing in flight.
 func (w *World) abortError() error {
-	w.abortMu.Lock()
-	defer w.abortMu.Unlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.abortErr == nil {
 		return fmt.Errorf("%w: operation can never complete", ErrAborted)
 	}
 	return w.abortErr
 }
 
-// markGoneLocked records that rank can never act again (death or clean
-// finalize) and wakes blocked operations to re-evaluate. Caller holds
-// abortMu.
+// depart records that rank can never act again (clean finalize, or its
+// body returned).
+func (w *World) depart(rank int) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.markGoneLocked(rank)
+}
+
+// markGoneLocked records rank's departure and wakes blocked operations
+// to re-evaluate. Caller holds mu.
 func (w *World) markGoneLocked(rank int) {
-	if rank < 0 || rank >= w.size {
+	if rank < 0 || rank >= w.size || closed(w.goneCh[rank]) {
 		return
-	}
-	select {
-	case <-w.goneCh[rank]:
-		return
-	default:
 	}
 	close(w.goneCh[rank])
+	if !w.waiting[rank] {
+		w.running--
+	}
 	close(w.goneGen)
 	w.goneGen = make(chan struct{})
 }
@@ -361,28 +356,35 @@ func (w *World) markGoneLocked(rank int) {
 // goneWatch returns the current departure-broadcast edge: it is closed
 // on the next recorded departure (or teardown). Departures recorded
 // before the snapshot are already visible through rankGone.
-func (w *World) goneWatch() <-chan struct{} {
-	w.abortMu.Lock()
-	defer w.abortMu.Unlock()
+func (w *World) goneWatch() chan struct{} {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	return w.goneGen
 }
 
-// rankGone reports whether rank can never act again: it died (aborted
-// or errored out) or finalized cleanly. Everything the rank delivered,
-// posted, or contributed happens-before this flag.
-func (w *World) rankGone(rank int) bool {
+// rankGone reports whether rank can never act again: it departed, or
+// the job was torn down, which counts every rank gone. Everything the
+// rank delivered, posted, or contributed happens-before its departure.
+func (w *World) rankGone(rank int) bool { return w.tearDown.Load() || closed(w.goneCh[rank]) }
+
+// closed reports whether ch is closed, without blocking.
+func closed(ch chan struct{}) bool {
 	select {
-	case <-w.goneCh[rank]:
+	case <-ch:
 		return true
 	default:
 		return false
 	}
 }
 
-// othersGone reports whether every rank except self is gone — the
-// impossibility condition for wildcard matching (self cannot deliver to
-// itself while it is blocked waiting).
-func (w *World) othersGone(self int) bool {
+// peerGone is the impossibility predicate of every point-to-point
+// operation of rank self on peer: a specific peer is gone, or, for
+// AnySource, every rank but self is (self cannot deliver to itself while
+// it waits).
+func (w *World) peerGone(self, peer int) bool {
+	if peer != AnySource {
+		return w.rankGone(peer)
+	}
 	for r := 0; r < w.size; r++ {
 		if r != self && !w.rankGone(r) {
 			return false
@@ -391,13 +393,124 @@ func (w *World) othersGone(self int) bool {
 	return true
 }
 
-// tornDown reports whether the job was aborted without a rank death
-// (a deadlocked schedule being dismantled): every blocked operation
-// must fail regardless of its impossibility predicate.
-func (w *World) tornDown() bool {
-	w.abortMu.Lock()
-	defer w.abortMu.Unlock()
-	return w.tearDown
+// setWaitingLocked marks rank blocked or parked in MPI (on) or running
+// again. When the last running rank blocks, parked pollers are released:
+// no rank is left to change what they poll, so their "not yet" must
+// reach the application, whose next step may be the one its peers wait
+// for (a bounded poll loop's nudge). Caller holds mu.
+func (w *World) setWaitingLocked(rank int, on bool) {
+	if w.waiting[rank] == on {
+		return
+	}
+	w.waiting[rank] = on
+	if closed(w.goneCh[rank]) {
+		return
+	}
+	if !on {
+		w.running++
+		return
+	}
+	if w.running--; w.running == 0 {
+		w.releaseLocked()
+	}
+}
+
+// releaseLocked wakes every parked poller. Caller holds mu.
+func (w *World) releaseLocked() {
+	if w.release != nil {
+		close(w.release)
+		w.release = nil
+	}
+}
+
+// await blocks rank until done closes or the operation provably never
+// completes, returning nil or the job's abort error.
+//
+// The rule, for every blocking and polling operation: an operation fails
+// only once the ranks whose participation it still needs are gone
+// (impossible, a monotone function of rankGone and of state the
+// departed ranks set before leaving). A job abort alone is not enough:
+// whether an unrelated rank's death has become visible is a wall-clock
+// race, and failing on it would make a rank's progress, fault-site
+// numbering and verdicts scheduling-dependent. The proof is sound
+// because everything a rank delivered, posted or contributed
+// happens-before its departure (both run on its goroutine), and a rank
+// whose injected abort fired stays dead (see enter). Completion always
+// wins: done is re-checked before failing. Each departure re-evaluates
+// impossible through goneGen.
+//
+// While it waits the rank counts as waiting for the park guard.
+func (w *World) await(rank int, done chan struct{}, impossible func() bool) error {
+	if closed(done) {
+		return nil
+	}
+	if w.ctl != nil {
+		// Park under the controller; the signalling side re-marks this
+		// rank runnable (Wake) before closing done, so the controller
+		// never sees a false quiescence.
+		w.ctl.Block(rank, done)
+	}
+	w.mu.Lock()
+	w.setWaitingLocked(rank, true)
+	gen := w.goneGen
+	w.mu.Unlock()
+	defer func() {
+		w.mu.Lock()
+		w.setWaitingLocked(rank, false)
+		w.mu.Unlock()
+	}()
+	for {
+		if impossible() {
+			if closed(done) {
+				return nil
+			}
+			return w.abortError()
+		}
+		select {
+		case <-done:
+			return nil
+		case <-gen:
+			gen = w.goneWatch()
+		}
+	}
+}
+
+// park blocks rank's fruitless poller until its mailbox moves past
+// epoch, a departure or teardown closes gen, or no other rank is left
+// running. It reports whether it parked: it does not when the epoch
+// already moved, or when every other rank is waiting or gone, in which
+// case parked pollers are released too (a poller that cannot park is,
+// for an instant, the last running rank blocking).
+func (w *World) park(rank int, epoch uint64, gen chan struct{}) bool {
+	now, changed := w.boxes[rank].watch()
+	if now != epoch {
+		return false
+	}
+	w.mu.Lock()
+	others := w.running
+	if !closed(w.goneCh[rank]) {
+		others-- // the poller itself is running
+	}
+	if others == 0 {
+		w.releaseLocked()
+		w.mu.Unlock()
+		return false
+	}
+	w.setWaitingLocked(rank, true)
+	if w.release == nil {
+		w.release = make(chan struct{})
+	}
+	release := w.release
+	w.mu.Unlock()
+	select {
+	case <-changed:
+	case <-gen:
+	case <-release:
+	}
+	w.mu.Lock()
+	w.setWaitingLocked(rank, false)
+	w.mu.Unlock()
+	return true
 }
 
 // AttachRank binds rank's address space and interception hooks, returning
@@ -428,6 +541,9 @@ type Comm struct {
 	// died is the error of this rank's own injected abort; every later
 	// operation of the rank fails with it (see enter).
 	died error
+	// idleEpoch is the mailbox epoch of the last fruitless poll since
+	// the last full operation (0 = none; epochs start at 1).
+	idleEpoch uint64
 	// live tracks incomplete requests for MUST's leak check.
 	live map[*Request]struct{}
 }
@@ -454,23 +570,15 @@ func (c *Comm) SetHooks(h Hooks) {
 func (c *Comm) SetInjector(in *faults.Injector) { c.inj = in }
 
 // enter runs the per-call bookkeeping shared by every full MPI
-// operation: the rank-abort fault site can fire, killing the job as if
-// this rank died at this call. There is deliberately no global
-// "aborted?" fast-fail here — whether an unrelated rank's death has
-// become visible at this instant is a wall-clock race, and failing on
-// it would make a rank's progress (and therefore its fault-site
-// occurrence counters and race verdicts) scheduling-dependent. A job
-// abort is instead observed at completion points (waitAbortable, Test,
-// Iprobe), where "this operation can never complete" is a deterministic
-// property of the fault plan: the specific ranks whose participation
-// the operation still needs are dead (see waitAbortable).
-//
-// A rank that aborted is dead: each of its later operations fails with
-// the same error before it can deliver, post or contribute anything.
-// Otherwise an application that ignores the abort error would keep
-// communicating after its death flag, and whether a peer matched such a
-// message before seeing that death would be a wall-clock race.
+// operation. The rank-abort fault site can fire, killing the job as if
+// this rank died at this call; a rank that aborted stays dead, so each
+// of its later operations fails with the same error before it can
+// deliver, post or contribute anything. There is no global "aborted?"
+// fast-fail: a job abort is observed where an operation waits (await)
+// or polls, once the operation provably cannot complete. A full
+// operation also ends any run of fruitless polls (see poll).
 func (c *Comm) enter() error {
+	c.idleEpoch = 0
 	if c.died != nil {
 		return c.died
 	}
@@ -482,13 +590,8 @@ func (c *Comm) enter() error {
 	if f := c.inj.Fire(faults.SchedStall); f != nil {
 		// The rank wedges at this call, modelling a hung process: it
 		// unblocks only when the job is torn down from outside (watchdog
-		// Cancel, a step budget, or another rank's abort). Under a
-		// controller the park is registered so quiescence detection — and
-		// with it the logical step budget — still works.
-		if ctl := c.world.ctl; ctl != nil {
-			ctl.Block(c.rank, c.world.aborted)
-		}
-		<-c.world.aborted
+		// Cancel, a step budget, or another rank's abort).
+		c.world.await(c.rank, c.world.aborted, func() bool { return false })
 		return fmt.Errorf("rank %d stalled: %w (%w)", c.rank, f, c.world.abortError())
 	}
 	if b := c.world.opBudget; b > 0 {
@@ -503,89 +606,56 @@ func (c *Comm) enter() error {
 	return nil
 }
 
-// waitAbortable blocks on ch, unblocking with the abort error only once
-// impossible reports that ch can provably never close. Completion
-// always wins over an abort, and a death that does NOT make the
-// operation impossible (a third rank died but the rank this operation
-// needs is still alive) keeps the wait alive — in an N-rank job,
-// failing on an unrelated rank's death would make the outcome a
-// wall-clock race between that death's visibility and the needed rank's
-// progress. Soundness of the predicate rests on the per-rank ordering
-// edge: everything a dead rank delivered, posted, or contributed
-// happens-before its death flag (its MPI activity and its World.Abort
-// run on one goroutine), so when the needed rank's death is visible and
-// ch is still not ready, the completion is provably never coming. The
-// impossible callback must be a monotone function of the death flags
-// (and any state the dying ranks mutated before dying) so re-evaluation
-// on each death edge converges.
-func (c *Comm) waitAbortable(ch chan struct{}, impossible func() bool) error {
-	select {
-	case <-ch:
-		return nil
-	default:
-	}
-	if ctl := c.world.ctl; ctl != nil {
-		// Park under the controller; the signalling side re-marks this
-		// rank runnable (Wake) before closing ch, so the controller never
-		// sees a false quiescence. If ch was signalled already, Block is a
-		// no-op and the select falls straight through.
-		ctl.Block(c.rank, ch)
-	}
-	for {
-		gen := c.world.goneWatch()
-		select {
-		case <-ch:
-			return nil
-		default:
-		}
-		if c.world.tornDown() || impossible() {
-			select {
-			case <-ch:
-				return nil
-			default:
-			}
-			return c.world.abortError()
-		}
-		select {
-		case <-ch:
-			return nil
-		case <-gen:
-			// A death (or teardown) was recorded; loop to re-evaluate.
-		}
-	}
+// await blocks this rank on done under the world's rule (World.await),
+// failing once peer is gone (see World.peerGone).
+func (c *Comm) await(done chan struct{}, peer int) error {
+	return c.world.await(c.rank, done, func() bool { return c.world.peerGone(c.rank, peer) })
 }
 
-// recvImpossible is the impossibility predicate of a posted receive:
-// the source can never deliver a match. For a specific source that is
-// its departure (death or finalize); a wildcard receive needs every
-// other rank gone.
-func (c *Comm) recvImpossible(src int) func() bool {
-	return func() bool {
-		if src == AnySource {
-			return c.world.othersGone(c.rank)
-		}
-		return c.world.rankGone(src)
+// poll runs one Test/Iprobe check; ready reports whether the poll can
+// succeed now. A poll is not a failure point: no fault site fires here,
+// so how many fruitless polls a loop makes cannot shift fault-site
+// numbering or verdicts (only Stats counts them). Until peer
+// is provably gone a fruitless poll reports "not yet"; one at the
+// mailbox epoch of the previous fruitless poll, with no full operation
+// in between, first parks until something it could see changes
+// (World.park) instead of spinning. Once peer is gone the poll fails —
+// after one re-check, since completion wins.
+func (c *Comm) poll(peer int, ready func() bool) (bool, error) {
+	// Snapshot what the outcome depends on before checking it.
+	epoch, gen := c.world.boxes[c.rank].epoch.Load(), c.world.goneWatch()
+	if ready() {
+		return true, nil
 	}
+	if !c.world.peerGone(c.rank, peer) {
+		c.stats.FruitlessPolls++
+		if c.idleEpoch != epoch {
+			c.idleEpoch = epoch
+		} else if c.world.park(c.rank, epoch, gen) {
+			c.stats.ParkedPolls++
+		}
+		return false, nil
+	}
+	if ready() {
+		return true, nil
+	}
+	return false, c.world.abortError()
 }
 
 // PendingRequests returns the number of incomplete requests (requests
 // never waited on), for finalize-time leak checks.
 func (c *Comm) PendingRequests() int { return len(c.live) }
 
-// Finalize runs finalize-time hooks. Further communication is a bug.
+// Finalize runs finalize-time hooks and records the rank's departure,
+// so peers waiting on what only this rank could provide fail instead of
+// waiting forever. Further communication is a bug.
 func (c *Comm) Finalize() {
 	if c.finalized {
 		return
 	}
 	c.hooks.PreFinalize()
 	c.finalized = true
-	// The rank can never act again: record its departure so peers
-	// blocked on a message or collective only this rank could have
-	// provided fail deterministically instead of waiting forever.
-	// Everything the rank delivered happens-before this mark.
-	c.world.abortMu.Lock()
-	c.world.markGoneLocked(c.rank)
-	c.world.abortMu.Unlock()
+	c.world.depart(c.rank)
 }
 
 // Finalized reports whether Finalize ran.

@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"cusango/internal/faults"
 	"cusango/internal/memspace"
@@ -29,13 +30,45 @@ type mailbox struct {
 	recvs  []*recvPost
 	probes []*probeWaiter
 
+	// epoch counts deliveries (starting at 1); changed, created on
+	// demand by a parking poller, is closed by the next delivery. Both
+	// are written under mu after the delivery's effects, so a poller
+	// that sees an epoch sees everything delivered before it.
+	epoch   atomic.Uint64
+	changed chan struct{}
+
 	// owner/ctl are set when the world is placed under a schedule
 	// controller (World.SetController); owner is the destination rank.
 	owner int
 	ctl   *sched.Controller
 }
 
-func newMailbox() *mailbox { return &mailbox{} }
+func newMailbox() *mailbox {
+	mb := &mailbox{}
+	mb.epoch.Store(1)
+	return mb
+}
+
+// watch returns the delivery epoch and the channel the next delivery
+// closes.
+func (mb *mailbox) watch() (uint64, chan struct{}) {
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	if mb.changed == nil {
+		mb.changed = make(chan struct{})
+	}
+	return mb.epoch.Load(), mb.changed
+}
+
+// delivered advances the delivery epoch, waking parked pollers. Caller
+// holds mu and has applied the delivery.
+func (mb *mailbox) delivered() {
+	mb.epoch.Add(1)
+	if mb.changed != nil {
+		close(mb.changed)
+		mb.changed = nil
+	}
+}
 
 // wake re-marks ranks parked on key runnable before the caller signals
 // the underlying channel (no-op without a controller). Must be called
@@ -71,6 +104,7 @@ func envelopeMatch(wantSrc, wantTag int, p *packet) bool {
 func (mb *mailbox) deliver(p *packet) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
+	defer mb.delivered()
 	mb.notifyProbes(p)
 	for i, r := range mb.recvs {
 		if envelopeMatch(r.src, r.tag, p) {
@@ -159,7 +193,7 @@ func (c *Comm) Recv(buf memspace.Addr, count int, dt Datatype, src, tag int) (St
 	}
 	r := &recvPost{src: src, tag: tag, done: make(chan struct{})}
 	c.world.boxes[c.rank].post(r)
-	if err := c.waitAbortable(r.done, c.recvImpossible(src)); err != nil {
+	if err := c.await(r.done, src); err != nil {
 		return Status{}, err
 	}
 	st, err := c.completeRecv(buf, count, dt, r.pkt)
@@ -237,7 +271,7 @@ func (c *Comm) Sendrecv(
 		// above already went out, so peers can make progress).
 		return c.recvControlled(recvBuf, recvCount, recvType, src, recvTag)
 	}
-	if err := c.waitAbortable(r.done, c.recvImpossible(src)); err != nil {
+	if err := c.await(r.done, src); err != nil {
 		return Status{}, err
 	}
 	st, err := c.completeRecv(recvBuf, recvCount, recvType, r.pkt)

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"fmt"
-	"reflect"
 
 	"cusango/internal/memspace"
 )
@@ -10,10 +9,12 @@ import (
 // Extended point-to-point operations: synchronous-mode send (MPI_Ssend),
 // Waitany, and Probe/Iprobe.
 
-// probeWaiter is a parked MPI_Probe.
+// probeWaiter is a parked MPI_Probe; st is set under the mailbox lock
+// before done closes.
 type probeWaiter struct {
 	src, tag int
-	found    chan Status
+	done     chan struct{}
+	st       Status
 }
 
 // notifyProbes completes parked probes that match p. Must run with the
@@ -22,8 +23,9 @@ func (mb *mailbox) notifyProbes(p *packet) {
 	kept := mb.probes[:0]
 	for _, w := range mb.probes {
 		if envelopeMatch(w.src, w.tag, p) {
-			mb.wake(p.src, w.found, mb.owner)
-			w.found <- statusOf(p)
+			w.st = statusOf(p)
+			mb.wake(p.src, w.done, mb.owner)
+			close(w.done)
 		} else {
 			kept = append(kept, w)
 		}
@@ -45,6 +47,7 @@ func statusOf(p *packet) Status {
 func (mb *mailbox) deliverSync(p *packet) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
+	defer mb.delivered()
 	mb.notifyProbes(p)
 	for i, r := range mb.recvs {
 		if envelopeMatch(r.src, r.tag, p) {
@@ -82,10 +85,8 @@ func (c *Comm) Ssend(buf memspace.Addr, count int, dt Datatype, dest, tag int) e
 	}
 	p := &packet{src: c.rank, tag: tag, dt: dt, data: data, rendezvous: make(chan struct{})}
 	c.world.boxes[dest].deliverSync(p)
-	// Rendezvous is impossible only once the receiver is dead: its
-	// receive posts happen-before its death flag, so no match by then
-	// means no match ever.
-	if err := c.waitAbortable(p.rendezvous, func() bool { return c.world.rankGone(dest) }); err != nil {
+	// The rendezvous needs the receiver to post a matching receive.
+	if err := c.await(p.rendezvous, dest); err != nil {
 		return err
 	}
 	c.stats.Sends++
@@ -123,50 +124,29 @@ func (c *Comm) Waitany(reqs []*Request) (int, Status, error) {
 		// Which completed request Waitany returns is a schedule choice.
 		return c.waitanyControlled(reqs)
 	}
-	// All receives: select over their matching channels.
-	cases := make([]reflect.SelectCase, len(reqs))
-	for i, r := range reqs {
-		cases[i] = reflect.SelectCase{
-			Dir:  reflect.SelectRecv,
-			Chan: reflect.ValueOf(r.post.done),
-		}
-	}
-	// An already-complete request wins over a concurrent job abort, and
-	// Waitany keeps waiting while any constituent receive can still be
-	// matched: it fails only when every request is provably dead (its
-	// source — every other rank, for a wildcard — died without
-	// delivering a match). Each recorded death re-evaluates.
-	poll := append(append([]reflect.SelectCase{}, cases...),
-		reflect.SelectCase{Dir: reflect.SelectDefault})
+	// All receives. Each completes under this rank's mailbox lock in a
+	// delivery, which then advances the mailbox epoch: wait on the epoch
+	// and re-scan. Waitany fails only when every request's source is
+	// gone; a completion seen at the last epoch still wins.
+	mb := c.world.boxes[c.rank]
 	for {
-		if chosen, _, _ := reflect.Select(poll); chosen < len(reqs) {
-			st, err := c.Wait(reqs[chosen])
-			return chosen, st, err
-		}
-		gen := c.world.goneWatch()
-		if chosen, _, _ := reflect.Select(poll); chosen < len(reqs) {
-			st, err := c.Wait(reqs[chosen])
-			return chosen, st, err
-		}
-		allDead := true
-		for _, r := range reqs {
-			if !c.recvImpossible(r.post.src)() {
-				allDead = false
-				break
+		_, changed := mb.watch()
+		for i, r := range reqs {
+			if closed(r.post.done) {
+				st, err := c.Wait(r)
+				return i, st, err
 			}
 		}
-		if c.world.tornDown() || allDead {
-			if chosen, _, _ := reflect.Select(poll); chosen < len(reqs) {
-				st, err := c.Wait(reqs[chosen])
-				return chosen, st, err
+		err := c.world.await(c.rank, changed, func() bool {
+			for _, r := range reqs {
+				if !c.world.peerGone(c.rank, r.post.src) {
+					return false
+				}
 			}
-			return -1, Status{}, c.world.abortError()
-		}
-		sel := append(append([]reflect.SelectCase{}, cases...),
-			reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(gen)})
-		if chosen, _, _ := reflect.Select(sel); chosen < len(reqs) {
-			st, err := c.Wait(reqs[chosen])
-			return chosen, st, err
+			return true
+		})
+		if err != nil {
+			return -1, Status{}, err
 		}
 	}
 }
@@ -186,11 +166,9 @@ func (c *Comm) findMatch(src, tag int) (bool, Status) {
 }
 
 // Iprobe checks non-blockingly for a matching incoming message without
-// receiving it (MPI_Iprobe). Like Test, a poll is not a failure point:
-// no fault site fires here, so occurrence numbering is independent of
-// how many times a polling loop spins before its message arrives. Once
-// a job abort is visible the poll fails — after one final re-scan, so
-// a message the dead rank delivered before dying is still found.
+// receiving it (MPI_Iprobe). Like Test, it reports "not yet" until the
+// probed source is provably gone (see poll); a message the departed
+// rank delivered is still found.
 func (c *Comm) Iprobe(src, tag int) (bool, Status, error) {
 	if err := c.checkPeer(src, true); err != nil {
 		return false, Status{}, err
@@ -200,21 +178,12 @@ func (c *Comm) Iprobe(src, tag int) (bool, Status, error) {
 		// unmatchable poll parks (a fruitless iteration is unobservable).
 		return c.iprobeControlled(src, tag)
 	}
-	if ok, st := c.findMatch(src, tag); ok {
-		return true, st, nil
-	}
-	// No match: fail the poll only once a match can provably never
-	// arrive — the probed source (every other rank, for a wildcard) is
-	// dead and delivered nothing matching. A still-alive source may
-	// simply not have sent yet; failing on an unrelated rank's death
-	// would make the probe's outcome a wall-clock race.
-	if c.world.tornDown() || c.recvImpossible(src)() {
-		if ok, st := c.findMatch(src, tag); ok {
-			return true, st, nil
-		}
-		return false, Status{}, c.world.abortError()
-	}
-	return false, Status{}, nil
+	var st Status
+	ok, err := c.poll(src, func() (found bool) {
+		found, st = c.findMatch(src, tag)
+		return found
+	})
+	return ok, st, err
 }
 
 // Probe blocks until a matching message is available, without receiving
@@ -240,35 +209,11 @@ func (c *Comm) Probe(src, tag int) (Status, error) {
 			return st, nil
 		}
 	}
-	w := &probeWaiter{src: src, tag: tag, found: make(chan Status, 1)}
+	w := &probeWaiter{src: src, tag: tag, done: make(chan struct{})}
 	mb.probes = append(mb.probes, w)
 	mb.mu.Unlock()
-	if ctl := c.world.ctl; ctl != nil {
-		ctl.Block(c.rank, w.found)
+	if err := c.await(w.done, src); err != nil {
+		return Status{}, err
 	}
-	// Completion wins over a concurrent abort, and the probe keeps
-	// waiting past unrelated deaths: it fails only once the probed
-	// source (every other rank, for a wildcard) is dead without having
-	// delivered a match.
-	for {
-		gen := c.world.goneWatch()
-		select {
-		case st := <-w.found:
-			return st, nil
-		default:
-		}
-		if c.world.tornDown() || c.recvImpossible(src)() {
-			select {
-			case st := <-w.found:
-				return st, nil
-			default:
-				return Status{}, c.world.abortError()
-			}
-		}
-		select {
-		case st := <-w.found:
-			return st, nil
-		case <-gen:
-		}
-	}
+	return w.st, nil
 }

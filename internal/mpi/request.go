@@ -153,7 +153,7 @@ func (c *Comm) Wait(req *Request) (Status, error) {
 				return Status{}, err
 			}
 		}
-		if err := c.waitAbortable(req.post.done, c.recvImpossible(req.post.src)); err != nil {
+		if err := c.await(req.post.done, req.post.src); err != nil {
 			return Status{}, err
 		}
 		var err error
@@ -182,14 +182,8 @@ func (c *Comm) WaitAll(reqs ...*Request) error {
 }
 
 // Test polls a request (MPI_Test). With the eager transport, a send is
-// always complete and a receive is complete once matched.
-//
-// A poll is not a failure point: Test fires no rank-abort site and the
-// delayed-completion site fires only for a request that could complete,
-// so fault-site occurrence numbering stays a pure function of program
-// order — the number of fruitless iterations a Test busy-wait performs
-// before its message arrives is wall-clock noise and must not shift
-// which occurrence a fault plan hits.
+// always complete and a receive is complete once matched; an unmatched
+// one reports "not yet" until its source is provably gone (see poll).
 func (c *Comm) Test(req *Request) (bool, Status, error) {
 	if req == nil || req.comm != c {
 		return false, Status{}, fmt.Errorf("%w: foreign or nil request", ErrRequest)
@@ -203,27 +197,8 @@ func (c *Comm) Test(req *Request) (bool, Status, error) {
 		return c.testControlled(req)
 	}
 	if req.kind == ReqRecv {
-		select {
-		case <-req.post.done:
-		default:
-			// Not matched yet. Fail the poll only once the match can
-			// provably never arrive — the source rank (every other rank,
-			// for a wildcard) is dead and its deliveries, which happen-
-			// before its death flag, did not include one. A still-alive
-			// source may simply not have sent yet, and a poll loop must
-			// keep reporting "not yet" rather than racing an unrelated
-			// rank's death — a Test loop must not spin forever waiting
-			// for a message a dead rank will never send, but it equally
-			// must not fail on a message that is still coming.
-			if c.world.tornDown() || c.recvImpossible(req.post.src)() {
-				select {
-				case <-req.post.done:
-				default:
-					return false, Status{}, c.world.abortError()
-				}
-			} else {
-				return false, Status{}, nil
-			}
+		if ok, err := c.poll(req.post.src, func() bool { return closed(req.post.done) }); !ok {
+			return false, Status{}, err
 		}
 	}
 	// Delayed completion: report "not yet" even though the request could

@@ -44,8 +44,8 @@ func (w *World) abortStuck(ctl *sched.Controller) {
 	if ctl.BudgetHit() {
 		cause = sched.ErrBudget
 	}
-	w.abortMu.Lock()
-	defer w.abortMu.Unlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	w.cancelLocked(cause)
 }
 
@@ -193,12 +193,10 @@ func (c *Comm) testControlled(req *Request) (bool, Status, error) {
 			return append(opts, sched.DeferOpt())
 		}
 		pkts = nil
-		select {
-		case <-req.post.done:
+		if closed(req.post.done) {
 			return []sched.Option{sched.Opt("complete", 0), sched.DeferOpt()}
-		default:
-			return nil
 		}
+		return nil
 	})
 	if err != nil {
 		return false, Status{}, c.schedErr(err)
@@ -290,12 +288,8 @@ func (c *Comm) waitanyControlled(reqs []*Request) (int, Status, error) {
 				if n == 0 {
 					continue
 				}
-			} else {
-				select {
-				case <-r.post.done:
-				default:
-					continue
-				}
+			} else if !closed(r.post.done) {
+				continue
 			}
 			opts = append(opts, sched.Opt("req="+strconv.Itoa(i), i))
 			picks = append(picks, i)
