@@ -81,8 +81,7 @@ func BenchmarkAblationMemoryTracking(b *testing.B) {
 
 // BenchmarkRangeEngine measures the shadow-range annotation hot path in
 // isolation: a 64 KiB WriteRange (the Jacobi-scale kernel-argument
-// annotation) against the batched page-walking engine, the batched
-// engine without its same-epoch range cache, and the granule-at-a-time
+// annotation) against the batched run engine and the granule-at-a-time
 // reference walk. The acceptance bar for the batched engine is >= 2x
 // the reference throughput on this shape with the default K=2 cells.
 func BenchmarkRangeEngine(b *testing.B) {
@@ -92,7 +91,6 @@ func BenchmarkRangeEngine(b *testing.B) {
 		cfg  tsan.Config
 	}{
 		{"batched", tsan.Config{}},
-		{"batched-nocache", tsan.Config{DisableRangeCache: true}},
 		{"slow", tsan.Config{Engine: tsan.EngineSlow}},
 	}
 	for _, v := range variants {

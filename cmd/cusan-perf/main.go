@@ -24,6 +24,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -201,7 +202,7 @@ func cmdCompare(args []string, gate bool) int {
 				return code
 			}
 			cmp := perf.Compare(base, results, copt)
-			printComparison(cmp, *all)
+			printComparison(os.Stdout, cmp, *all)
 			return exitOK
 		}
 
@@ -215,12 +216,9 @@ func cmdCompare(args []string, gate bool) int {
 		if code := saveResults(*save, scs, outcome.Results); code != exitOK {
 			return code
 		}
-		printComparison(outcome.First, *all)
+		printComparison(os.Stdout, outcome.First, *all)
 		for _, d := range outcome.Flukes {
 			fmt.Printf("fluke (retry cleared): %s/%s\n", d.Scenario, d.Metric)
-		}
-		for _, d := range outcome.Drifts {
-			fmt.Printf("DRIFT %s: %s\n", d.Scenario, d.Detail)
 		}
 		for _, d := range outcome.Confirmed {
 			fmt.Printf("CONFIRMED %s\n", d)
@@ -252,24 +250,27 @@ func saveResults(dir string, scs []perf.Scenario, results map[string]*perf.Resul
 
 // printComparison renders the delta table: regressions and drift
 // always, everything else under -all (plus a one-line tally).
-func printComparison(cmp *perf.Comparison, all bool) {
+func printComparison(w io.Writer, cmp *perf.Comparison, all bool) {
 	counts := map[string]int{}
 	for _, d := range cmp.Deltas {
 		counts[d.Status]++
 		if all || (d.Status != perf.StatusOK) {
-			fmt.Println(d)
+			fmt.Fprintln(w, d)
 		}
+	}
+	for _, d := range cmp.Drifts {
+		fmt.Fprintf(w, "DRIFT %s: %s\n", d.Scenario, d.Detail)
 	}
 	keys := make([]string, 0, len(counts))
 	for k := range counts {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	fmt.Print("compare:")
+	fmt.Fprint(w, "compare:")
 	for _, k := range keys {
-		fmt.Printf(" %s=%d", k, counts[k])
+		fmt.Fprintf(w, " %s=%d", k, counts[k])
 	}
-	fmt.Printf(" drift=%d\n", len(cmp.Drifts))
+	fmt.Fprintf(w, " drift=%d\n", len(cmp.Drifts))
 }
 
 func cmdList(args []string) int {

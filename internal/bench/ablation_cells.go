@@ -2,11 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"cusango/internal/core"
 	"cusango/internal/cusan"
-	"cusango/internal/tsan"
 )
 
 // CellsAblation measures the shadow-memory design choice DESIGN.md calls
@@ -27,9 +25,9 @@ func CellsAblation(cfg Config) (*Table, error) {
 		return nil, err
 	}
 	for _, cells := range []int{1, 2, 4} {
-		tcfg := cfg.TSanCfg
-		tcfg.CellsPerGranule = cells
-		m, err := measureWithTSan(Jacobi, cfg, tcfg)
+		ccfg := cfg
+		ccfg.TSanCfg.CellsPerGranule = cells
+		m, err := Measure(Jacobi, core.MUSTCuSan, ccfg, cusan.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -48,39 +46,4 @@ func CellsAblation(cfg Config) (*Table, error) {
 		})
 	}
 	return t, nil
-}
-
-// MeasureTSan is Measure under MUST & CuSan with a custom sanitizer
-// configuration (exported for the perf harness's engine scenarios).
-func MeasureTSan(app App, cfg Config, tcfg tsan.Config) (*Measurement, error) {
-	return measureWithTSan(app, cfg, tcfg)
-}
-
-// measureWithTSan is Measure under MUST & CuSan with a custom sanitizer
-// configuration.
-func measureWithTSan(app App, cfg Config, tcfg tsan.Config) (*Measurement, error) {
-	for i := 0; i < cfg.Warmup; i++ {
-		if _, err := runOnceTSan(app, core.MUSTCuSan, cfg, cusan.Options{}, tcfg); err != nil {
-			return nil, err
-		}
-	}
-	runs := cfg.Runs
-	if runs <= 0 {
-		runs = 1
-	}
-	var acc *Measurement
-	for i := 0; i < runs; i++ {
-		m, err := runOnceTSan(app, core.MUSTCuSan, cfg, cusan.Options{}, tcfg)
-		if err != nil {
-			return nil, err
-		}
-		if acc == nil {
-			acc = m
-		} else {
-			acc.Wall += m.Wall
-		}
-	}
-	acc.Wall /= time.Duration(runs)
-	acc.Runs = runs
-	return acc, nil
 }

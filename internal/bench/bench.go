@@ -129,12 +129,6 @@ type Measurement struct {
 
 // runOnce executes the app once under the flavor and measures it.
 func runOnce(app App, flavor core.Flavor, cfg Config, opts cusan.Options) (*Measurement, error) {
-	return runOnceTSan(app, flavor, cfg, opts, cfg.TSanCfg)
-}
-
-// runOnceTSan is runOnce with an explicit sanitizer configuration
-// (shadow-cell ablation).
-func runOnceTSan(app App, flavor core.Flavor, cfg Config, opts cusan.Options, tcfg tsan.Config) (*Measurement, error) {
 	var (
 		res *core.Result
 		err error
@@ -143,21 +137,21 @@ func runOnceTSan(app App, flavor core.Flavor, cfg Config, opts cusan.Options, tc
 	switch app {
 	case Jacobi:
 		res, err = core.Run(core.Config{
-			Flavor: flavor, Ranks: cfg.Ranks, Module: jacobi.Module(), CusanOpts: opts, TSanCfg: tcfg,
+			Flavor: flavor, Ranks: cfg.Ranks, Module: jacobi.Module(), CusanOpts: opts, TSanCfg: cfg.TSanCfg,
 		}, func(s *core.Session) error {
 			_, err := jacobi.Run(s, cfg.JacobiCfg)
 			return err
 		})
 	case Halo2D:
 		res, err = core.Run(core.Config{
-			Flavor: flavor, Ranks: cfg.Ranks, Module: halo2d.AppModule(), CusanOpts: opts, TSanCfg: tcfg,
+			Flavor: flavor, Ranks: cfg.Ranks, Module: halo2d.AppModule(), CusanOpts: opts, TSanCfg: cfg.TSanCfg,
 		}, func(s *core.Session) error {
 			_, err := halo2d.Run(s, cfg.Halo2DCfg)
 			return err
 		})
 	default:
 		res, err = core.Run(core.Config{
-			Flavor: flavor, Ranks: cfg.Ranks, Module: tealeaf.Module(), CusanOpts: opts, TSanCfg: tcfg,
+			Flavor: flavor, Ranks: cfg.Ranks, Module: tealeaf.Module(), CusanOpts: opts, TSanCfg: cfg.TSanCfg,
 		}, func(s *core.Session) error {
 			_, err := tealeaf.Run(s, cfg.TeaLeafCfg)
 			return err

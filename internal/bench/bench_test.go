@@ -94,14 +94,14 @@ func TestTable1HasAllMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 17 {
-		t.Fatalf("rows = %d, want 12 Table I metrics + 5 shadow-engine rows", len(tab.Rows))
+	if len(tab.Rows) != 15 {
+		t.Fatalf("rows = %d, want 12 Table I metrics + 3 shadow-engine rows", len(tab.Rows))
 	}
 	var sb strings.Builder
 	tab.Render(&sb)
 	out := sb.String()
 	for _, want := range []string{"Switch To Fiber", "AnnotateHappensBefore", "Memory Read Size",
-		"Shadow pages touched", "Range-cache hits"} {
+		"Shadow pages touched", "Fast-path granules"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table missing %q", want)
 		}
@@ -113,23 +113,16 @@ func TestEngineAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 3 {
-		t.Fatalf("rows = %d, want 3 engine variants", len(tab.Rows))
+	if len(tab.Rows) != 2 {
+		t.Fatalf("rows = %d, want 2 engine variants", len(tab.Rows))
 	}
-	// The slow reference walk reports no engine counters; both batched
-	// variants must.
+	// The slow reference walk reports no engine counters; the batched
+	// engine must.
 	if tab.Rows[0][4] != "0" {
 		t.Errorf("slow engine reported granules: %v", tab.Rows[0])
 	}
-	for _, row := range tab.Rows[1:] {
-		if row[4] == "0" {
-			t.Errorf("batched variant reported no granules: %v", row)
-		}
-	}
-	// The default batched engine hits the range cache on Jacobi's
-	// repeated kernel-argument annotations; the no-cache variant cannot.
-	if tab.Rows[1][6] != "-" && tab.Rows[1][6] != "0.00" {
-		t.Errorf("no-cache variant reported cache hits: %v", tab.Rows[1])
+	if tab.Rows[1][4] == "0" {
+		t.Errorf("batched engine reported no granules: %v", tab.Rows[1])
 	}
 }
 

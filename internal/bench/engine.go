@@ -3,37 +3,36 @@ package bench
 import (
 	"fmt"
 
+	"cusango/internal/core"
+	"cusango/internal/cusan"
 	"cusango/internal/tsan"
 )
 
 // EngineAblation compares the shadow-range engines end to end: the
-// batched page-walking engine (default), the batched engine with the
-// per-fiber range cache disabled, and the granule-at-a-time reference
+// batched run engine (default) and the granule-at-a-time reference
 // walk that doubles as the differential oracle. The engine counters
 // come from the cusan Table-I snapshot of rank 0.
 func EngineAblation(cfg Config) (*Table, error) {
 	t := &Table{
 		Title:   "Shadow engine — batched range engine vs. reference walk (Jacobi, MUST & CuSan)",
-		Headers: []string{"engine", "wall", "rel vs slow", "pages", "granules", "fast%", "cache hit%"},
+		Headers: []string{"engine", "wall", "rel vs slow", "pages", "granules", "fast%"},
 		Notes: []string{
 			"fast% = interior granules stored via the full-mask fast path; slow engine reports no counters",
 			"both engines produce identical race reports and shadow state (see internal/tsan differential tests)",
 		},
 	}
 	variants := []struct {
-		name string
-		tcfg tsan.Config
+		name   string
+		engine tsan.Engine
 	}{
-		{"slow (reference)", tsan.Config{Engine: tsan.EngineSlow}},
-		{"batched, no range cache", tsan.Config{DisableRangeCache: true}},
-		{"batched (default)", tsan.Config{}},
+		{"slow (reference)", tsan.EngineSlow},
+		{"batched (default)", tsan.EngineBatched},
 	}
 	var slowWall float64
 	for _, v := range variants {
-		tcfg := cfg.TSanCfg
-		tcfg.Engine = v.tcfg.Engine
-		tcfg.DisableRangeCache = v.tcfg.DisableRangeCache
-		m, err := measureWithTSan(Jacobi, cfg, tcfg)
+		ecfg := cfg
+		ecfg.TSanCfg.Engine = v.engine
+		m, err := Measure(Jacobi, core.MUSTCuSan, ecfg, cusan.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -41,19 +40,16 @@ func EngineAblation(cfg Config) (*Table, error) {
 			slowWall = m.Wall.Seconds()
 		}
 		c := m.Result.Ranks[0].CudaCtrs
-		fastPct, hitPct := "-", "-"
+		fastPct := "-"
 		if c.EngineGranules > 0 {
 			fastPct = f2(100 * float64(c.EngineFastGranules) / float64(c.EngineGranules))
-		}
-		if lookups := c.RangeCacheHits + c.RangeCacheMisses; lookups > 0 {
-			hitPct = f2(100 * float64(c.RangeCacheHits) / float64(lookups))
 		}
 		t.Rows = append(t.Rows, []string{
 			v.name, secs(m.Wall),
 			f2(m.Wall.Seconds() / slowWall),
 			fmt.Sprintf("%d", c.EnginePages),
 			fmt.Sprintf("%d", c.EngineGranules),
-			fastPct, hitPct,
+			fastPct,
 		})
 	}
 	return t, nil

@@ -171,8 +171,6 @@ func Table1(cfg Config) (*Table, error) {
 	rowNP("Shadow pages touched", float64(jc.EnginePages), float64(tc.EnginePages))
 	rowNP("Shadow granules processed", float64(jc.EngineGranules), float64(tc.EngineGranules))
 	rowNP("Fast-path granules", float64(jc.EngineFastGranules), float64(tc.EngineFastGranules))
-	rowNP("Range-cache hits", float64(jc.RangeCacheHits), float64(tc.RangeCacheHits))
-	rowNP("Range-cache misses", float64(jc.RangeCacheMisses), float64(tc.RangeCacheMisses))
 	return t, nil
 }
 

@@ -93,16 +93,7 @@ type Counters struct {
 	EngineSameGranules int64 `json:"engine_same_granules"`
 	// EngineRuns counts the run checks the batched engine performed: one
 	// per run of equal shadow granules an annotation overlapped.
-	EngineRuns       int64 `json:"engine_runs"`
-	RangeCacheHits   int64 `json:"range_cache_hits"`
-	RangeCacheMisses int64 `json:"range_cache_misses"`
-	// ReleasesBatched counts release annotations satisfied by the
-	// detector's epoch-batched fast path (one clock-component store
-	// instead of a full vector join).
-	ReleasesBatched int64 `json:"releases_batched"`
-	// BatchOps counts range annotations submitted as kernel-argument
-	// batches.
-	BatchOps int64 `json:"batch_ops"`
+	EngineRuns int64 `json:"engine_runs"`
 }
 
 // CountersFromStats lifts a raw sanitizer snapshot into the exported
@@ -123,10 +114,6 @@ func CountersFromStats(st tsan.Stats) Counters {
 		EngineFastGranules: st.EngineFastGranules,
 		EngineSameGranules: st.EngineSameGranules,
 		EngineRuns:         st.EngineRuns,
-		RangeCacheHits:     st.RangeCacheHits,
-		RangeCacheMisses:   st.RangeCacheMisses,
-		ReleasesBatched:    st.ReleasesBatched,
-		BatchOps:           st.BatchOps,
 	}
 }
 
@@ -179,9 +166,6 @@ type Runtime struct {
 
 	ctr Counters
 
-	// batchOps is the reusable kernel-argument annotation batch buffer.
-	batchOps []tsan.RangeOp
-
 	// access-info caches, so hot paths don't allocate.
 	kernelInfos map[string][]*tsan.AccessInfo
 	memcpyRead  *tsan.AccessInfo
@@ -225,10 +209,6 @@ func (r *Runtime) Counters() Counters {
 	c.EngineFastGranules = st.EngineFastGranules
 	c.EngineSameGranules = st.EngineSameGranules
 	c.EngineRuns = st.EngineRuns
-	c.RangeCacheHits = st.RangeCacheHits
-	c.RangeCacheMisses = st.RangeCacheMisses
-	c.ReleasesBatched = st.ReleasesBatched
-	c.BatchOps = st.BatchOps
 	return c
 }
 
@@ -390,39 +370,7 @@ func (r *Runtime) annotateRange(a memspace.Addr, n int64, write bool, info *tsan
 	}
 }
 
-// appendRangeOp queues one range annotation for a kernel-argument
-// batch, applying the same ablation and boundary-only splitting (and
-// counter accounting) as annotateRange.
-func (r *Runtime) appendRangeOp(ops []tsan.RangeOp, a memspace.Addr, n int64,
-	write bool, info *tsan.AccessInfo) []tsan.RangeOp {
-	if r.opts.DisableMemoryTracking || n <= 0 {
-		return ops
-	}
-	if b := r.opts.BoundaryBytes; b > 0 && n > 2*b {
-		if write {
-			r.ctr.WriteRanges += 2
-			r.ctr.WriteBytes += 2 * b
-		} else {
-			r.ctr.ReadRanges += 2
-			r.ctr.ReadBytes += 2 * b
-		}
-		return append(ops,
-			tsan.RangeOp{Addr: a, Len: b, Write: write, Info: info},
-			tsan.RangeOp{Addr: a + memspace.Addr(n-b), Len: b, Write: write, Info: info})
-	}
-	if write {
-		r.ctr.WriteRanges++
-		r.ctr.WriteBytes += n
-	} else {
-		r.ctr.ReadRanges++
-		r.ctr.ReadBytes += n
-	}
-	return append(ops, tsan.RangeOp{Addr: a, Len: n, Write: write, Info: info})
-}
-
 // PreKernelLaunch implements the kernel-call protocol of paper §IV-A(b).
-// The argument annotations of one launch are all issued by the stream
-// fiber at one epoch, so they are submitted as a single AnnotateBatch.
 func (r *Runtime) PreKernelLaunch(l *cuda.KernelLaunch) {
 	r.ctr.KernelCalls++
 	st := r.trackStream(streamOf(l.Stream))
@@ -433,12 +381,11 @@ func (r *Runtime) PreKernelLaunch(l *cuda.KernelLaunch) {
 	r.leaveStream(st)
 }
 
-// annotateKernelArgs annotates, as one batch on the current stream
-// fiber, every pointer argument the kernel may read or write over the
-// remaining extent of its allocation.
+// annotateKernelArgs annotates, on the current stream fiber, every
+// pointer argument the kernel may read or write over the remaining
+// extent of its allocation.
 func (r *Runtime) annotateKernelArgs(l *cuda.KernelLaunch) {
 	infos := r.kernelArgInfos(l)
-	ops := r.batchOps[:0]
 	for i, arg := range l.Args {
 		if arg.Kind != kinterp.ArgPtr || arg.Ptr == 0 {
 			continue
@@ -453,16 +400,12 @@ func (r *Runtime) annotateKernelArgs(l *cuda.KernelLaunch) {
 			continue
 		}
 		if acc.MayRead() {
-			ops = r.appendRangeOp(ops, arg.Ptr, extent, false, infos[i])
+			r.annotateRange(arg.Ptr, extent, false, infos[i])
 		}
 		if acc.MayWrite() {
-			ops = r.appendRangeOp(ops, arg.Ptr, extent, true, infos[i])
+			r.annotateRange(arg.Ptr, extent, true, infos[i])
 		}
 	}
-	if len(ops) > 0 {
-		r.san.AnnotateBatch(ops)
-	}
-	r.batchOps = ops[:0]
 }
 
 func (r *Runtime) kernelArgInfos(l *cuda.KernelLaunch) []*tsan.AccessInfo {
@@ -631,9 +574,5 @@ func (r *Runtime) FormatCounters() string {
 	fmt.Fprintf(&b, "  Fast-path granules          %8d\n", c.EngineFastGranules)
 	fmt.Fprintf(&b, "  Screened-same granules      %8d\n", c.EngineSameGranules)
 	fmt.Fprintf(&b, "  Run checks                  %8d\n", c.EngineRuns)
-	fmt.Fprintf(&b, "  Range-cache hits            %8d\n", c.RangeCacheHits)
-	fmt.Fprintf(&b, "  Range-cache misses          %8d\n", c.RangeCacheMisses)
-	fmt.Fprintf(&b, "  Batched releases            %8d\n", c.ReleasesBatched)
-	fmt.Fprintf(&b, "  Batch range ops             %8d\n", c.BatchOps)
 	return b.String()
 }

@@ -1,16 +1,15 @@
 package tsan
 
 import (
-	"fmt"
 	"testing"
 
 	"cusango/internal/memspace"
 )
 
-// Zero-allocation guards for the steady-state checking path (ISSUE 10
-// tentpole criterion): once shadow pages, sync vars, and clocks exist,
-// a clean annotate/release/switch/acquire cycle must not touch the Go
-// heap. The guards run under -race in CI; the race runtime's own
+// Zero-allocation guards for the steady-state checking path: once
+// shadow windows, sync vars, and clocks exist, a clean
+// annotate/release/switch/acquire cycle must not touch the Go heap. The
+// guards run under -race in CI; the race runtime's own
 // bookkeeping does not count against testing.AllocsPerRun.
 
 // cleanCycle is one steady-state iteration: the host annotates its
@@ -32,58 +31,31 @@ func cleanCycle(s *Sanitizer, stream *Fiber, hostInfo, streamInfo *AccessInfo,
 func TestCleanPathZeroAllocs(t *testing.T) {
 	const rangeBytes = 64 << 10
 	for _, eng := range []Engine{EngineBatched, EngineSlow} {
-		for _, cache := range []bool{false, true} {
-			if eng == EngineSlow && cache {
-				continue // the cache only exists in the batched engine
+		t.Run(eng.String(), func(t *testing.T) {
+			s := New(Config{Engine: eng})
+			stream := s.CreateFiber("stream")
+			hostInfo := &AccessInfo{Site: "host loop", Object: "send buffer"}
+			streamInfo := &AccessInfo{Site: "kernel step", Object: "arg 0"}
+			hostKey := MakeKey(1, 1)
+			streamKey := MakeKey(1, 2)
+			hostBuf := base
+			streamBuf := base + 4<<20
+			// Warm up: allocate the windows, sync vars, clock capacity,
+			// and interned sites the steady state will reuse.
+			for i := 0; i < 3; i++ {
+				cleanCycle(s, stream, hostInfo, streamInfo,
+					hostKey, streamKey, hostBuf, streamBuf, rangeBytes)
 			}
-			name := fmt.Sprintf("%s/cache=%v", eng, cache)
-			t.Run(name, func(t *testing.T) {
-				s := New(Config{Engine: eng, DisableRangeCache: !cache})
-				stream := s.CreateFiber("stream")
-				hostInfo := &AccessInfo{Site: "host loop", Object: "send buffer"}
-				streamInfo := &AccessInfo{Site: "kernel step", Object: "arg 0"}
-				hostKey := MakeKey(1, 1)
-				streamKey := MakeKey(1, 2)
-				hostBuf := base
-				streamBuf := base + 4<<20
-				// Warm up: allocate the pages, sync vars, clock capacity,
-				// and interned sites the steady state will reuse.
-				for i := 0; i < 3; i++ {
-					cleanCycle(s, stream, hostInfo, streamInfo,
-						hostKey, streamKey, hostBuf, streamBuf, rangeBytes)
-				}
-				avg := testing.AllocsPerRun(50, func() {
-					cleanCycle(s, stream, hostInfo, streamInfo,
-						hostKey, streamKey, hostBuf, streamBuf, rangeBytes)
-				})
-				if avg != 0 {
-					t.Fatalf("engine %s cache=%v: clean path allocates %.2f objects/op, want 0",
-						eng, cache, avg)
-				}
-				if got := s.RaceCount(); got != 0 {
-					t.Fatalf("clean cycle reported %d races", got)
-				}
+			avg := testing.AllocsPerRun(50, func() {
+				cleanCycle(s, stream, hostInfo, streamInfo,
+					hostKey, streamKey, hostBuf, streamBuf, rangeBytes)
 			})
-		}
-	}
-}
-
-// TestCleanPathZeroAllocsBatchedReleases pins that the epoch-batched
-// release fast path itself is allocation-free and actually taken: a
-// fiber releasing the same key repeatedly without intervening acquires
-// must hit the one-store path.
-func TestCleanPathZeroAllocsBatchedReleases(t *testing.T) {
-	s := New(Config{})
-	key := MakeKey(2, 9)
-	s.HappensBefore(key) // prime the sync var
-	avg := testing.AllocsPerRun(50, func() {
-		s.HappensBefore(key)
-	})
-	if avg != 0 {
-		t.Fatalf("repeated release allocates %.2f objects/op, want 0", avg)
-	}
-	st := s.Stats()
-	if st.ReleasesBatched == 0 {
-		t.Fatalf("repeated releases never took the epoch-batched fast path: %+v", st)
+			if avg != 0 {
+				t.Fatalf("engine %s: clean path allocates %.2f objects/op, want 0", eng, avg)
+			}
+			if got := s.RaceCount(); got != 0 {
+				t.Fatalf("clean cycle reported %d races", got)
+			}
+		})
 	}
 }

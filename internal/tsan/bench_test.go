@@ -11,13 +11,13 @@ import (
 // perf harness's range-engine scenario.
 
 // BenchmarkRunShadow measures re-annotation over warm shadow: repeated
-// 64 KiB write annotations with the range cache disabled, so every
-// iteration walks both windows of the range. The steady state finds
+// 64 KiB write annotations; every iteration walks both windows of the
+// range. The steady state finds
 // each window's single run already holding the access (no store).
 func BenchmarkRunShadow(b *testing.B) {
 	for _, cells := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("cells=%d", cells), func(b *testing.B) {
-			s := New(Config{CellsPerGranule: cells, DisableRangeCache: true})
+			s := New(Config{CellsPerGranule: cells})
 			info := &AccessInfo{Site: "bench run", Object: "arg 0"}
 			const n = 64 << 10
 			s.WriteRange(base, n, info) // allocate the windows
@@ -49,7 +49,7 @@ func BenchmarkRunShadowSlow(b *testing.B) {
 // BenchmarkRunShadowHandoff measures the mini-apps' pattern: a 1 MiB
 // buffer handed back and forth between a stream fiber and the host
 // with release/acquire in between, so every annotation changes the
-// state of every run it covers (no same-state skip, no cache hit).
+// state of every run it covers (no same-state skip).
 func BenchmarkRunShadowHandoff(b *testing.B) {
 	s := New(Config{})
 	stream := s.CreateFiber("stream")

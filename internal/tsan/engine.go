@@ -30,12 +30,6 @@ import (
 // (g % K), so a multi-granule run first explodes into one-granule runs
 // — the racy degenerate case only.
 //
-// A per-fiber range cache sits in front of the walk: a fiber
-// re-annotating the identical range at an unchanged clock with the same
-// access kind and site, before any other walk touched the shadow, is a
-// provable no-op and returns immediately (counting the duplicate
-// reports the walk would have counted).
-//
 // Both engines funnel every decision through checkCells, so race
 // reports, slot selection, and eviction order are identical; the
 // differential tests in differential_test.go pin that equivalence.
@@ -47,10 +41,6 @@ type spanCtr struct {
 	fast     int64
 	same     int64
 	runs     int64
-	// redup counts the conflicts an identical re-annotation would meet:
-	// every one a duplicate report, which a range-cache hit accounts
-	// for without walking.
-	redup int64
 }
 
 // access is one range annotation in flight.
@@ -61,31 +51,12 @@ type access struct {
 	infoID uint32
 }
 
-// conflicts reports whether an evicted cell — concurrent by definition
-// of eviction unless it is the accessor's own — conflicts with acc.
-func (acc *access) conflicts(c uint64, mask uint8) bool {
-	cFiber, _, cWrite, cMask := decodeCell(c)
-	return cFiber != acc.f.id && (acc.write || cWrite) && mask&cMask != 0
-}
-
 // accessRangeBatched records an access to [a, a+n) window by window.
 func (s *Sanitizer) accessRangeBatched(a memspace.Addr, n int64, write bool, info *AccessInfo) {
 	f := s.cur
 	ep := s.epoch()
 	start := uint64(a)
 	end := start + uint64(n)
-
-	if !s.cfg.DisableRangeCache {
-		e := &s.rangeCache[f.id]
-		if e.valid && e.seq == s.accessSeq && e.start == start && e.end == end &&
-			e.write == write && e.ep == ep && e.gen == f.gen && e.info == info {
-			s.stats.RangeCacheHits++
-			s.stats.RacesDeduped += e.redup
-			return
-		}
-		s.stats.RangeCacheMisses++
-	}
-
 	acc := access{f: f, cell: encodeCell(f.id, ep, write, fullMask), write: write,
 		infoID: s.internInfo(info)}
 	g := start >> granuleShift
@@ -119,13 +90,6 @@ func (s *Sanitizer) accessRangeBatched(a memspace.Addr, n int64, write bool, inf
 	s.stats.EngineFastGranules += ctr.fast
 	s.stats.EngineSameGranules += ctr.same
 	s.stats.EngineRuns += ctr.runs
-	s.accessSeq++
-	if !s.cfg.DisableRangeCache {
-		s.rangeCache[f.id] = rangeCacheEntry{
-			start: start, end: end, ep: ep, gen: f.gen, info: info, write: write,
-			valid: true, seq: s.accessSeq, redup: ctr.redup,
-		}
-	}
 }
 
 // annotateRuns applies acc with byte mask mask to global granules
@@ -152,16 +116,12 @@ func (s *Sanitizer) annotateRuns(w *shadowWindow, wi, gLo, gHi uint64, mask uint
 		// Every other granule of the run raises the same reports again,
 		// each one a duplicate by then.
 		s.stats.RacesDeduped += int64(n-1) * int64(conflicts)
-		ctr.redup += int64(n) * int64(conflicts)
 		if slot < 0 && k > 1 && n > 1 {
 			// All cells concurrent: the evicted slot rotates with the
 			// granule, so the run no longer holds one state.
 			w.explode(i, n, k)
 			for r := 0; r < n; r++ {
 				e := (i+r)*k + int((g+uint64(r))%uint64(k))
-				if acc.conflicts(w.cells[e], mask) {
-					ctr.redup--
-				}
 				w.cells[e], w.infos[e] = nc, acc.infoID
 			}
 			i += n - 1
@@ -170,9 +130,6 @@ func (s *Sanitizer) annotateRuns(w *shadowWindow, wi, gLo, gHi uint64, mask uint
 		}
 		if slot < 0 {
 			slot = int(g % uint64(k))
-			if acc.conflicts(cells[slot], mask) {
-				ctr.redup -= int64(n)
-			}
 		}
 		switch {
 		case cells[slot] == nc && infos[slot] == acc.infoID:

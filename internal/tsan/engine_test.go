@@ -7,7 +7,7 @@ import (
 )
 
 // The batched engine is the default; these tests pin its observable
-// mechanics (counters, fast path, range cache) — equivalence with the
+// mechanics (counters, fast path) — equivalence with the
 // slow reference walk is pinned separately in differential_test.go.
 
 func TestEngineDefaultIsBatched(t *testing.T) {
@@ -46,9 +46,6 @@ func TestBatchedEngineCounters(t *testing.T) {
 	if st.EngineFastGranules != 8192 {
 		t.Errorf("fast granules = %d, want 8192", st.EngineFastGranules)
 	}
-	if st.RangeCacheMisses != 1 || st.RangeCacheHits != 0 {
-		t.Errorf("cache misses/hits = %d/%d, want 1/0", st.RangeCacheMisses, st.RangeCacheHits)
-	}
 }
 
 func TestBatchedEnginePartialEdges(t *testing.T) {
@@ -74,79 +71,6 @@ func TestBatchedEnginePartialEdges(t *testing.T) {
 	}
 }
 
-func TestRangeCacheHitOnIdenticalReannotation(t *testing.T) {
-	s := newSan()
-	s.WriteRange(base, 4096, hostW)
-	granulesAfterFirst := s.Stats().EngineGranules
-	s.WriteRange(base, 4096, hostW) // identical: cache hit, no walk
-	st := s.Stats()
-	if st.RangeCacheHits != 1 {
-		t.Fatalf("cache hits = %d, want 1", st.RangeCacheHits)
-	}
-	if st.EngineGranules != granulesAfterFirst {
-		t.Fatalf("cache hit still walked granules: %d -> %d", granulesAfterFirst, st.EngineGranules)
-	}
-	// A third identical annotation still hits (no walk happened between).
-	s.WriteRange(base, 4096, hostW)
-	if s.Stats().RangeCacheHits != 2 {
-		t.Fatalf("repeated hit not taken")
-	}
-}
-
-func TestRangeCacheInvalidation(t *testing.T) {
-	type step struct {
-		name  string
-		setup func(s *Sanitizer)
-	}
-	steps := []step{
-		{"epoch advance", func(s *Sanitizer) { s.HappensBefore(MakeKey(1, 1)) }},
-		{"intervening walk", func(s *Sanitizer) { s.WriteRange(base+(1<<20), 64, hostW) }},
-		{"different info", func(s *Sanitizer) {}}, // handled below
-	}
-	for _, st := range steps[:2] {
-		t.Run(st.name, func(t *testing.T) {
-			s := newSan()
-			s.WriteRange(base, 512, hostW)
-			st.setup(s)
-			s.WriteRange(base, 512, hostW)
-			if s.Stats().RangeCacheHits != 0 {
-				t.Fatalf("stale cache hit after %s", st.name)
-			}
-		})
-	}
-	t.Run("different kind or site", func(t *testing.T) {
-		s := newSan()
-		s.WriteRange(base, 512, hostW)
-		s.ReadRange(base, 512, hostR) // different access kind: miss
-		s.WriteRange(base, 512, devW) // different site: miss
-		if s.Stats().RangeCacheHits != 0 {
-			t.Fatalf("cache hit despite kind/site change")
-		}
-	})
-	t.Run("different range", func(t *testing.T) {
-		s := newSan()
-		s.WriteRange(base, 512, hostW)
-		s.WriteRange(base, 256, hostW) // sub-range has different edge masks: miss
-		if s.Stats().RangeCacheHits != 0 {
-			t.Fatalf("sub-range must not hit the exact-range cache")
-		}
-	})
-}
-
-func TestRangeCacheDisabled(t *testing.T) {
-	s := New(Config{DisableRangeCache: true})
-	info := &AccessInfo{Site: "host", Object: "w"}
-	s.WriteRange(base, 4096, info)
-	s.WriteRange(base, 4096, info)
-	st := s.Stats()
-	if st.RangeCacheHits != 0 || st.RangeCacheMisses != 0 {
-		t.Fatalf("disabled cache still counted: %d/%d", st.RangeCacheHits, st.RangeCacheMisses)
-	}
-	if st.EngineGranules != 1024 {
-		t.Fatalf("granules = %d, want 1024 (both walks performed)", st.EngineGranules)
-	}
-}
-
 func TestSlowEngineLeavesEngineCountersZero(t *testing.T) {
 	s := New(Config{Engine: EngineSlow})
 	fib := s.CreateFiber("stream")
@@ -160,7 +84,7 @@ func TestSlowEngineLeavesEngineCountersZero(t *testing.T) {
 	}
 	st := s.Stats()
 	if st.EnginePages != 0 || st.EngineGranules != 0 || st.EngineFastGranules != 0 ||
-		st.RangeCacheHits != 0 || st.RangeCacheMisses != 0 {
+		st.EngineSameGranules != 0 || st.EngineRuns != 0 {
 		t.Fatalf("slow engine touched batched-engine counters: %+v", st)
 	}
 }

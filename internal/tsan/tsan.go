@@ -13,7 +13,9 @@
 // User-defined concurrency is modeled with fibers. Switching fibers does
 // NOT imply synchronization (paper §II-A); ordering is established only by
 // the release/acquire annotation pair HappensBefore/HappensAfter, keyed by
-// a synchronization address.
+// a synchronization address. As in TSan's plain annotation API, every
+// range annotation walks the shadow of its range and every release is a
+// full vector-clock join.
 //
 // One Sanitizer instance belongs to one rank and is driven only from that
 // rank's goroutine, mirroring TSan's per-process runtime.
@@ -48,12 +50,6 @@ type Fiber struct {
 	id    int
 	name  string
 	clock *vclock.Clock
-	// gen counts acquisitions: it is bumped whenever another context's
-	// knowledge is joined into this fiber's clock (HappensAfter, the
-	// synchronizing fiber switch). Between two bumps the clock changes
-	// only in its own component, which is what makes the epoch-batched
-	// release fast path of HappensBefore sound.
-	gen uint64
 }
 
 // ID returns the fiber's dense id (its vector-clock component index).
@@ -110,19 +106,12 @@ type Stats struct {
 	EngineFastGranules int64 // granules updated in bulk through a multi-granule run
 	EngineSameGranules int64 // granules in runs that already held the new state (no store)
 	EngineRuns         int64 // run checks performed
-	RangeCacheHits     int64 // range annotations satisfied by the same-epoch cache
-	RangeCacheMisses   int64 // range annotations that had to walk
 
-	// ReleasesBatched counts HappensBefore calls satisfied by the
-	// epoch-batched release fast path: the sync var had already absorbed
-	// this fiber's clock and nothing but the fiber's own epoch changed
-	// since, so the release touches one clock component instead of
-	// joining the whole vector.
+	// RangeCacheHits and ReleasesBatched are always 0: nothing counts
+	// them. They stay only because the benchmark module (e2ebench)
+	// still reads them.
+	RangeCacheHits  int64
 	ReleasesBatched int64
-
-	// BatchOps counts range annotations submitted through AnnotateBatch
-	// (one kernel launch's argument ranges).
-	BatchOps int64
 }
 
 // AvgReadKB returns the average tracked bytes per read-range call, in KiB.
@@ -200,9 +189,8 @@ type Engine uint8
 
 const (
 	// EngineBatched is the default: the run engine stores runs of
-	// granules with equal shadow cells, checks an access once per run
-	// it overlaps, and consults the per-fiber same-epoch range cache
-	// before walking at all (engine.go).
+	// granules with equal shadow cells and checks an access once per run
+	// it overlaps (engine.go).
 	EngineBatched Engine = iota
 	// EngineSlow is the granule-at-a-time reference walk (the original
 	// implementation). It is kept as the differential-testing oracle and
@@ -245,10 +233,6 @@ type Config struct {
 	// Engine selects the range engine; the zero value is the batched
 	// run engine.
 	Engine Engine
-	// DisableRangeCache turns off the per-fiber same-epoch range cache
-	// of the batched engine (isolates the run-walk speedup in the
-	// engine ablation; no effect under EngineSlow).
-	DisableRangeCache bool
 }
 
 const (
@@ -256,40 +240,19 @@ const (
 	defaultReports = 128
 )
 
-// syncVar is one synchronization variable: its release clock plus the
-// epoch-batching stamp. primed records that clock has absorbed fiber
-// relFiber's clock as of generation relGen; while that fiber's
-// generation is unchanged, a repeated release only needs to advance the
-// releaser's own component (joins are monotone, so the containment
-// survives other fibers releasing into the same variable).
-type syncVar struct {
-	clock    *vclock.Clock
-	relFiber int
-	relGen   uint64
-	primed   bool
-}
-
 // Sanitizer is the per-rank race detector instance.
 type Sanitizer struct {
 	cfg      Config
 	fibers   []*Fiber
 	cur      *Fiber
-	syncVars map[SyncKey]*syncVar
-	shadow   shadowMap  // the batched engine's run store
-	slow     slowShadow // the slow engine's per-granule store
+	syncVars map[SyncKey]*vclock.Clock // each key's release clock
+	shadow   shadowMap                 // the batched engine's run store
+	slow     slowShadow                // the slow engine's per-granule store
 	reports  []*Report
 	seen     map[dedupKey]struct{}
 	stats    Stats
 	// ignoreDepth > 0 disables access recording (IgnoreBegin/End).
 	ignoreDepth int
-
-	// accessSeq counts recorded range walks; a same-epoch cache entry is
-	// only valid while no walk (by any fiber) has happened since it was
-	// recorded, which makes a cache hit a provable no-op.
-	accessSeq uint64
-	// rangeCache holds one same-epoch range entry per fiber, indexed by
-	// fiber id (the batched engine's re-annotation fast path).
-	rangeCache []rangeCacheEntry
 
 	// Access-site interning: shadow cells store 32-bit indexes into
 	// infoTab instead of *AccessInfo pointers (no GC write barriers on
@@ -299,32 +262,14 @@ type Sanitizer struct {
 	lastInfo *AccessInfo
 	lastID   uint32
 
-	// Object arenas: fibers, sync vars, and their vector clocks are
-	// carved from chunked slabs owned by this sanitizer, so the clean
+	// Object arenas: fibers and the vector clocks of fibers and sync vars
+	// are carved from chunked slabs owned by this sanitizer, so the clean
 	// access path — annotate a range over warm shadow, release and
 	// acquire existing sync vars, switch fibers — performs no heap
 	// allocation (TestCleanPathZeroAllocs). The MPI layer creates a
 	// fiber per non-blocking operation, so creation is on a hot path.
 	clockArena *vclock.Arena
 	fiberSlab  []Fiber
-	svSlab     []syncVar
-}
-
-// rangeCacheEntry remembers one range annotation a fiber performed at
-// its current clock (epoch and acquisition generation). Re-annotating
-// the identical range with the same access kind and site before any
-// other shadow walk happens is a provable no-op (same cells, same
-// masks, only already-deduplicated reports): it is skipped, and the
-// redup duplicates the walk would count are added directly.
-type rangeCacheEntry struct {
-	start, end uint64
-	ep         vclock.Epoch
-	gen        uint64
-	info       *AccessInfo
-	write      bool
-	valid      bool
-	seq        uint64
-	redup      int64
 }
 
 type dedupKey struct {
@@ -345,7 +290,7 @@ func New(cfg Config) *Sanitizer {
 	}
 	s := &Sanitizer{
 		cfg:        cfg,
-		syncVars:   make(map[SyncKey]*syncVar),
+		syncVars:   make(map[SyncKey]*vclock.Clock),
 		seen:       make(map[dedupKey]struct{}),
 		infoTab:    []*AccessInfo{nil},
 		infoIDs:    make(map[*AccessInfo]uint32),
@@ -375,10 +320,9 @@ func (s *Sanitizer) CreateFiber(name string) *Fiber {
 	}
 	f := &s.fiberSlab[0]
 	s.fiberSlab = s.fiberSlab[1:]
-	f.id, f.name, f.clock, f.gen = len(s.fibers), name, s.clockArena.New(), 0
+	f.id, f.name, f.clock = len(s.fibers), name, s.clockArena.New()
 	f.clock.Tick(f.id)
 	s.fibers = append(s.fibers, f)
-	s.rangeCache = append(s.rangeCache, rangeCacheEntry{})
 	s.stats.FibersCreated++
 	if f.id > maxFiberID {
 		panic(fmt.Sprintf("tsan: fiber id %d exceeds shadow encoding capacity", f.id))
@@ -435,7 +379,6 @@ func (s *Sanitizer) switchFiber(f *Fiber, sync bool) {
 	if f != s.cur {
 		if sync {
 			f.clock.Join(s.cur.clock)
-			f.gen++
 		}
 		s.cur = f
 	}
@@ -445,46 +388,20 @@ func (s *Sanitizer) switchFiber(f *Fiber, sync bool) {
 // NumFibers returns the number of fibers created so far.
 func (s *Sanitizer) NumFibers() int { return len(s.fibers) }
 
-const svSlabChunk = 16
-
 // HappensBefore is the release half of a synchronization annotation
 // (AnnotateHappensBefore): the current fiber's clock is merged into the
 // sync variable identified by key, then the fiber's own epoch advances so
 // accesses performed after the release are distinguishable from the
 // released state.
-//
-// Releases are epoch-batched: when the variable already holds this
-// fiber's clock (recorded as a (fiber, generation) stamp) and the fiber
-// has not acquired anything since, the full vector join degenerates to
-// advancing the releaser's own component — release sequences touch the
-// clock store once per batch of acquisitions instead of once per
-// release. Stream arcs and MPI request arcs release in exactly this
-// pattern, so the fast path carries the steady state.
 func (s *Sanitizer) HappensBefore(key SyncKey) {
 	s.stats.HappensBefore++
-	f := s.cur
 	sv, ok := s.syncVars[key]
 	if !ok {
-		if len(s.svSlab) == 0 {
-			s.svSlab = make([]syncVar, svSlabChunk)
-		}
-		sv = &s.svSlab[0]
-		s.svSlab = s.svSlab[1:]
-		sv.clock = s.clockArena.New()
+		sv = s.clockArena.New()
 		s.syncVars[key] = sv
 	}
-	if sv.primed && sv.relFiber == f.id && sv.relGen == f.gen {
-		// sv.clock ⊇ f.clock held at the stamp, and since then f's clock
-		// changed only in component f.id; restore containment with one
-		// store. Joins into sv by other fibers only grew sv, so the
-		// containment could not have been lost.
-		sv.clock.Set(f.id, f.clock.Get(f.id))
-		s.stats.ReleasesBatched++
-	} else {
-		sv.clock.Join(f.clock)
-		sv.relFiber, sv.relGen, sv.primed = f.id, f.gen, true
-	}
-	f.clock.Tick(f.id)
+	sv.Join(s.cur.clock)
+	s.cur.clock.Tick(s.cur.id)
 }
 
 // HappensAfter is the acquire half (AnnotateHappensAfter): the sync
@@ -493,8 +410,7 @@ func (s *Sanitizer) HappensBefore(key SyncKey) {
 func (s *Sanitizer) HappensAfter(key SyncKey) {
 	s.stats.HappensAfter++
 	if sv, ok := s.syncVars[key]; ok {
-		s.cur.clock.Join(sv.clock)
-		s.cur.gen++
+		s.cur.clock.Join(sv)
 	}
 }
 
@@ -573,7 +489,6 @@ func (s *Sanitizer) accessRangeSlow(a memspace.Addr, n int64, write bool, info *
 		}
 		cells[slot], infos[slot] = encodeCell(f.id, ep, write, mask), infoID
 	}
-	s.accessSeq++
 }
 
 // checkCells races an access with byte mask mask against the K cells of
@@ -697,7 +612,7 @@ func (s *Sanitizer) DumpSyncKeys() string {
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	var b strings.Builder
 	for _, k := range keys {
-		fmt.Fprintf(&b, "0x%x -> %s\n", uint64(k), s.syncVars[k].clock)
+		fmt.Fprintf(&b, "0x%x -> %s\n", uint64(k), s.syncVars[k])
 	}
 	return b.String()
 }
