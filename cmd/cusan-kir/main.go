@@ -158,10 +158,11 @@ func runCmd(path string, args []string) {
 			iargs = iargs[1:]
 		}
 	}
-	eng, err := kinterp.New(m, kinterp.Config{})
+	prog, err := kinterp.Compile(m)
 	if err != nil {
 		fatalf("%v", err)
 	}
+	eng := kinterp.New(prog, kinterp.Config{})
 	if err := eng.Launch(*kernel, kinterp.Dim(*grid), kinterp.Dim(*block), launchArgs, mem); err != nil {
 		fatalf("%v", err)
 	}

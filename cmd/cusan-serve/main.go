@@ -17,6 +17,7 @@
 //	GET  /v1/campaigns/{id}/stream   NDJSON record stream, resumable via ?from=
 //	GET  /v1/findings/{fp}           finding lookup by stable fingerprint
 //	GET  /v1/status                  queue depth, cache hit rate, utilization
+//	GET  /debug/pprof/               net/http/pprof profiles of the daemon
 //
 // The streamed JSONL of a completed campaign is byte-identical to
 // `cusan-campaign -out` offline output for the same matrix and build
@@ -43,6 +44,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"runtime"
@@ -55,6 +57,20 @@ import (
 
 func main() {
 	os.Exit(run())
+}
+
+// newMux serves the API routes of api plus the net/http/pprof
+// endpoints under /debug/pprof/, so an operator can profile a live
+// daemon (go tool pprof http://host:port/debug/pprof/profile).
+func newMux(api http.Handler) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.Handle("/", api)
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }
 
 func run() int {
@@ -108,7 +124,7 @@ func run() int {
 	fmt.Fprintf(os.Stderr, "cusan-serve: listening on http://%s (workers=%d concurrency=%d salt=%s)\n",
 		ln.Addr(), *workers, *concurrency, srv.Salt())
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Handler: newMux(srv.Handler())}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

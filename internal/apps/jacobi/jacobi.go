@@ -22,6 +22,7 @@ package jacobi
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"cusango/internal/core"
 	"cusango/internal/kinterp"
@@ -62,8 +63,15 @@ type Result struct {
 	LastNorm  float64
 }
 
-// Module builds the device code of the mini-app.
-func Module() *kir.Module {
+// Module returns the device code of the mini-app. It is built once per
+// process and shared by every job; its first compile seals it, so
+// callers must not Add to it.
+func Module() *kir.Module { return module() }
+
+var module = sync.OnceValue(buildModule)
+
+// buildModule builds the device code of the mini-app.
+func buildModule() *kir.Module {
 	m := kir.NewModule()
 
 	// absdiff(a, b) -> |a-b| without branches: max(a-b, b-a).

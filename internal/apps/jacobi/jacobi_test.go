@@ -226,10 +226,11 @@ func BenchmarkJacobiMustCusan(b *testing.B) {
 // benchmarks are too noisy to resolve.
 func BenchmarkNativeJacobiStep(b *testing.B) {
 	const nx, rows = 512, 130
-	eng, err := kinterp.New(Module(), kinterp.Config{Workers: 1})
+	prog, err := kinterp.Compile(Module())
 	if err != nil {
 		b.Fatal(err)
 	}
+	eng := kinterp.New(prog, kinterp.Config{Workers: 1})
 	if err := RegisterNatives(eng); err != nil {
 		b.Fatal(err)
 	}

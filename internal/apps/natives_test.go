@@ -61,10 +61,11 @@ type nativeRegistry = interface {
 func launchFresh(t *testing.T, mod *kir.Module, register func(nativeRegistry) error,
 	f *kir.Function, nx, rows, blockX, workers int) [][]byte {
 	t.Helper()
-	eng, err := kinterp.New(mod, kinterp.Config{Workers: workers, SerialThreshold: 1})
+	prog, err := kinterp.Compile(mod)
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng := kinterp.New(prog, kinterp.Config{Workers: workers, SerialThreshold: 1})
 	if register != nil {
 		if err := register(eng); err != nil {
 			t.Fatal(err)

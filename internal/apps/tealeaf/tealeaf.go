@@ -21,6 +21,7 @@ package tealeaf
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"cusango/internal/core"
 	"cusango/internal/kinterp"
@@ -79,8 +80,15 @@ func interiorGuard(e *kir.Emitter, body func(idx kir.Value)) {
 	})
 }
 
-// Module builds the device code of the mini-app.
-func Module() *kir.Module {
+// Module returns the device code of the mini-app. It is built once per
+// process and shared by every job; its first compile seals it, so
+// callers must not Add to it.
+func Module() *kir.Module { return module() }
+
+var module = sync.OnceValue(buildModule)
+
+// buildModule builds the device code of the mini-app.
+func buildModule() *kir.Module {
 	m := kir.NewModule()
 
 	dims := []kir.Param{{Name: "nx", Type: kir.TInt}, {Name: "rows", Type: kir.TInt}}

@@ -225,10 +225,11 @@ func BenchmarkTeaLeafMustCusan(b *testing.B) {
 // element.
 func BenchmarkNativeTeaLeafMatvec(b *testing.B) {
 	const nx, rows = 96, 50
-	eng, err := kinterp.New(Module(), kinterp.Config{Workers: 1})
+	prog, err := kinterp.Compile(Module())
 	if err != nil {
 		b.Fatal(err)
 	}
+	eng := kinterp.New(prog, kinterp.Config{Workers: 1})
 	if err := RegisterNatives(eng); err != nil {
 		b.Fatal(err)
 	}

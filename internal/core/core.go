@@ -106,7 +106,8 @@ type Config struct {
 	Flavor Flavor
 	// Ranks is the world size (default 2).
 	Ranks int
-	// Module holds the application's device code.
+	// Module holds the application's device code. Run compiles it once
+	// per module (cuda.Compile): reuse one module across jobs.
 	Module *kir.Module
 	// Cuda configures the simulated device (worker pool etc).
 	Cuda cuda.Config
@@ -189,7 +190,7 @@ func (s *Session) Flavor() Flavor {
 	return s.flavor
 }
 
-func newSession(cfg Config, rank int, world *mpi.World) (*Session, error) {
+func newSession(cfg Config, prog *cuda.Program, rank int, world *mpi.World) (*Session, error) {
 	s := &Session{
 		rank:    rank,
 		size:    world.Size(),
@@ -219,17 +220,9 @@ func newSession(cfg Config, rank int, world *mpi.World) (*Session, error) {
 	if s.rec != nil {
 		cudaHooks = s.rec.CudaHooks(cudaHooks)
 	}
-	mod := cfg.Module
-	if mod == nil {
-		mod = kir.NewModule()
-	}
 	cudaCfg := cfg.Cuda
 	cudaCfg.Inject = s.inj
-	dev, err := cuda.NewDevice(s.Mem, mod, cudaCfg, cudaHooks)
-	if err != nil {
-		return nil, fmt.Errorf("core: rank %d device: %w", rank, err)
-	}
-	s.Dev = dev
+	s.Dev = cuda.NewDevice(s.Mem, prog, cudaCfg, cudaHooks)
 	var mpiHooks mpi.Hooks
 	if cfg.Flavor.HasMUST() {
 		s.Must = must.New(s.San, s.TypeArt, cfg.MustOpts)
@@ -467,6 +460,9 @@ func (r *Result) TotalIssues() int64 {
 	return n
 }
 
+// emptyModule stands in for a job without device code.
+var emptyModule = sync.OnceValue(kir.NewModule)
+
 // Run builds the instrumented job and executes app on every rank
 // concurrently (mpirun analog). The app's Comm is finalized
 // automatically after app returns.
@@ -474,6 +470,14 @@ func Run(cfg Config, app func(s *Session) error) (*Result, error) {
 	ranks := cfg.Ranks
 	if ranks <= 0 {
 		ranks = 2
+	}
+	mod := cfg.Module
+	if mod == nil {
+		mod = emptyModule()
+	}
+	prog, err := cuda.Compile(mod)
+	if err != nil {
+		return nil, fmt.Errorf("core: compile: %w", err)
 	}
 	world := mpi.NewWorld(ranks)
 	if cfg.Sched != nil {
@@ -497,7 +501,7 @@ func Run(cfg Config, app func(s *Session) error) (*Result, error) {
 	}
 	sessions := make([]*Session, ranks)
 	for i := 0; i < ranks; i++ {
-		s, err := newSession(cfg, i, world)
+		s, err := newSession(cfg, prog, i, world)
 		if err != nil {
 			return nil, err
 		}

@@ -29,10 +29,11 @@ func asyncModule() *kir.Module {
 func newAsyncDev(t *testing.T) (*Device, *memspace.Memory) {
 	t.Helper()
 	mem := memspace.New()
-	d, err := NewDevice(mem, asyncModule(), Config{AsyncStreams: true}, nil)
+	prog, err := Compile(asyncModule())
 	if err != nil {
 		t.Fatal(err)
 	}
+	d := NewDevice(mem, prog, Config{AsyncStreams: true}, nil)
 	t.Cleanup(d.Close)
 	return d, mem
 }

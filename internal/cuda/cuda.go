@@ -125,6 +125,8 @@ type KernelLaunch struct {
 	Block  kinterp.Dim3
 	Args   []kinterp.Arg
 	Params []kir.Param
+	// Access and Params alias the shared compiled program: hooks must
+	// not modify them.
 	Access []kaccess.Access
 	Stream *Stream
 }
@@ -222,8 +224,40 @@ type Config struct {
 	Yield func(n int)
 }
 
-// Device is one simulated GPU attached to a rank's address space, with a
-// module of compiled kernels.
+// Program is a kernel module compiled for the simulated device: verified,
+// its kernel access analysis run (the device-code pass, paper Fig. 7
+// step 2) and its interpreter tables built, once. It is read-only and
+// shared by every device, rank and job that runs the module.
+type Program struct {
+	code     *kinterp.Program
+	analysis *kaccess.Result
+}
+
+// Compile compiles mod once per module: every later call, from any
+// goroutine, returns the same Program (or error). Compile seals mod
+// (kir.Module.Seal), so the program cannot go stale, and keeps the
+// program in mod (kir.Module.Memo), so it lives exactly as long as mod.
+func Compile(mod *kir.Module) (*Program, error) {
+	p, err := mod.Memo(func(m *kir.Module) (any, error) {
+		code, err := kinterp.Compile(m)
+		if err != nil {
+			return nil, err
+		}
+		analysis, err := kaccess.Analyze(m)
+		return &Program{code: code, analysis: analysis}, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return p.(*Program), nil
+}
+
+// Analysis exposes the kernel access analysis (the serialized "kernel
+// analysis data" of paper Fig. 7).
+func (p *Program) Analysis() *kaccess.Result { return p.analysis }
+
+// Device is one simulated GPU attached to a rank's address space, running
+// a compiled program.
 type Device struct {
 	mem      *memspace.Memory
 	eng      *kinterp.Engine
@@ -240,28 +274,19 @@ type Device struct {
 	asyncErrMu sync.Mutex
 }
 
-// NewDevice "compiles" the module for the device: the kernel access
-// analysis runs (device-code pass, paper Fig. 7 step 2) and the
-// interpreter is prepared. hooks may be nil.
-func NewDevice(mem *memspace.Memory, mod *kir.Module, cfg Config, hooks Hooks) (*Device, error) {
-	analysis, err := kaccess.Analyze(mod)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := kinterp.New(mod, cfg.Interp)
-	if err != nil {
-		return nil, err
-	}
+// NewDevice loads a compiled program onto a new device; only the
+// per-device interpreter state is built here. hooks may be nil.
+func NewDevice(mem *memspace.Memory, prog *Program, cfg Config, hooks Hooks) *Device {
 	if hooks == nil {
 		hooks = BaseHooks{}
 	}
 	d := &Device{
-		mem: mem, eng: eng, analysis: analysis, hooks: hooks, cfg: cfg,
-		execs: make(map[int]*streamExec),
+		mem: mem, eng: kinterp.New(prog.code, cfg.Interp), analysis: prog.analysis,
+		hooks: hooks, cfg: cfg, execs: make(map[int]*streamExec),
 	}
 	d.def = &Stream{id: 0, dev: d}
 	d.streams = []*Stream{d.def}
-	return d, nil
+	return d
 }
 
 // SetHooks replaces the instrumentation hooks (used by the toolchain at

@@ -75,10 +75,11 @@ func scaleModule() *kir.Module {
 func newDev(t *testing.T, hooks Hooks) (*Device, *memspace.Memory) {
 	t.Helper()
 	mem := memspace.New()
-	d, err := NewDevice(mem, scaleModule(), Config{}, hooks)
+	prog, err := Compile(scaleModule())
 	if err != nil {
-		t.Fatalf("NewDevice: %v", err)
+		t.Fatalf("Compile: %v", err)
 	}
+	d := NewDevice(mem, prog, Config{}, hooks)
 	return d, mem
 }
 
@@ -401,5 +402,45 @@ func TestMemOpSyncFlagsReachHooks(t *testing.T) {
 		if h.log[i] != w {
 			t.Fatalf("log[%d] = %q, want %q (full %v)", i, h.log[i], w, h.log)
 		}
+	}
+}
+
+// TestCompileOncePerModule: Compile hands every caller the one program
+// of a module, seals the module, and remembers a failed compile too;
+// devices on one program share its analysis.
+func TestCompileOncePerModule(t *testing.T) {
+	m := scaleModule()
+	p1, err := Compile(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p2, _ := Compile(m); p2 != p1 {
+		t.Fatal("second Compile of one module built a new program")
+	}
+	if other, _ := Compile(scaleModule()); other == p1 {
+		t.Fatal("two modules share a program")
+	}
+	d1 := NewDevice(memspace.New(), p1, Config{}, nil)
+	d2 := NewDevice(memspace.New(), p1, Config{}, nil)
+	if d1.Analysis() != d2.Analysis() || d1.Analysis() != p1.Analysis() {
+		t.Fatal("devices on one program do not share its analysis")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Add on a compiled module did not panic")
+			}
+		}()
+		m.Add(kir.KernelFunc("late", nil, func(*kir.Emitter) {}))
+	}()
+
+	bad := kir.NewModule()
+	bad.Add(kir.KernelFunc("k", []kir.Param{{Name: "p", Type: kir.TPtrF64}}, func(e *kir.Emitter) {
+		e.Store(e.Arg("p"), e.ConstI(1))
+	}))
+	_, err1 := Compile(bad)
+	_, err2 := Compile(bad)
+	if err1 == nil || err2 != err1 {
+		t.Fatalf("ill-typed module: errors %v, %v; want one remembered error", err1, err2)
 	}
 }

@@ -49,7 +49,7 @@ func (d *Device) LaunchKernel(name string, grid, block kinterp.Dim3, args []kint
 		Block:  block,
 		Args:   args,
 		Params: f.Params,
-		Access: d.analysis.KernelArgs(name, len(f.Params)),
+		Access: d.analysis.KernelArgs(name),
 		Stream: ss,
 	}
 	d.hooks.PreKernelLaunch(l)

@@ -21,6 +21,16 @@ type env struct {
 	mem *memspace.Memory
 }
 
+// testProgram compiles testModule.
+func testProgram(t testing.TB) *cuda.Program {
+	t.Helper()
+	prog, err := cuda.Compile(testModule())
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	return prog
+}
+
 func testModule() *kir.Module {
 	m := kir.NewModule()
 	m.Add(kir.KernelFunc("writer", []kir.Param{
@@ -51,10 +61,7 @@ func newEnv(t *testing.T, opts Options) *env {
 	san := tsan.New(tsan.Config{})
 	ta := typeart.NewRuntime(nil)
 	rt := New(san, ta, opts)
-	dev, err := cuda.NewDevice(mem, testModule(), cuda.Config{}, rt)
-	if err != nil {
-		t.Fatalf("NewDevice: %v", err)
-	}
+	dev := cuda.NewDevice(mem, testProgram(t), cuda.Config{}, rt)
 	return &env{san: san, ta: ta, rt: rt, dev: dev, mem: mem}
 }
 

@@ -131,10 +131,7 @@ func runHybridScenario(t *testing.T, sc hybridScenario) bool {
 	san := tsan.New(tsan.Config{CellsPerGranule: 8, MaxReports: 1024})
 	ta := typeart.NewRuntime(nil)
 	cs := New(san, ta, Options{})
-	dev, err := cuda.NewDevice(mem, testModule(), cuda.Config{}, cs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dev := cuda.NewDevice(mem, testProgram(t), cuda.Config{}, cs)
 	mu := must.New(san, ta, Options2MustOpts())
 	comm, err := w.AttachRank(0, mem, mu)
 	if err != nil {

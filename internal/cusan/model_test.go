@@ -359,9 +359,6 @@ func newEnvWith(t *testing.T, mem *memspace.Memory, san *tsan.Sanitizer, opts Op
 	t.Helper()
 	ta := typeart.NewRuntime(nil)
 	rt := New(san, ta, opts)
-	dev, err := cuda.NewDevice(mem, testModule(), cuda.Config{}, rt)
-	if err != nil {
-		t.Fatalf("NewDevice: %v", err)
-	}
+	dev := cuda.NewDevice(mem, testProgram(t), cuda.Config{}, rt)
 	return &env{san: san, ta: ta, rt: rt, dev: dev, mem: mem}
 }

@@ -90,36 +90,27 @@ func (s *Summary) equal(o *Summary) bool {
 	return true
 }
 
-// Result maps function names to summaries.
+// Result maps function names to summaries. It is read-only once
+// Analyze returns, so one Result can serve every device and goroutine
+// that runs the module.
 type Result struct {
 	summaries map[string]*Summary
-	fallbacks int64
 }
 
 // Summary returns the named function's summary, or nil.
 func (r *Result) Summary(name string) *Summary { return r.summaries[name] }
 
 // KernelArgs returns the access attributes of the named kernel's
-// arguments. A kernel without analysis (launched by name past the
-// compiler, e.g. hand-registered native code) gets the conservative
-// fallback the paper prescribes for unanalyzable kernels: assume every
-// argument may be read and written. nparams sizes the fallback;
-// FallbackCount reports how often it was taken.
-func (r *Result) KernelArgs(name string, nparams int) []Access {
+// arguments, or nil for a name the module does not define. Analyze
+// summarizes every function, so a launch that passed the runtime's
+// kernel lookup always finds one. The slice is shared: callers must not
+// modify it.
+func (r *Result) KernelArgs(name string) []Access {
 	if s := r.summaries[name]; s != nil {
 		return s.Params
 	}
-	r.fallbacks++
-	out := make([]Access, nparams)
-	for i := range out {
-		out[i] = ReadWrite
-	}
-	return out
+	return nil
 }
-
-// FallbackCount returns how many times KernelArgs fell back to the
-// conservative all-read-write summary for an unanalyzed kernel.
-func (r *Result) FallbackCount() int64 { return r.fallbacks }
 
 // String renders all summaries, one per line, in sorted order — the
 // serialized "kernel analysis data" artifact.
@@ -144,10 +135,10 @@ func (r *Result) String() string {
 
 const maxParams = 64
 
-// Analyze verifies the module and computes access summaries for every
-// function to a fixpoint over the call graph.
+// Analyze seals and verifies the module (kir.Module.Seal) and computes
+// access summaries for every function to a fixpoint over the call graph.
 func Analyze(m *kir.Module) (*Result, error) {
-	if err := kir.Verify(m); err != nil {
+	if err := m.Seal(); err != nil {
 		return nil, err
 	}
 	res := &Result{summaries: make(map[string]*Summary)}

@@ -29,7 +29,7 @@ func TestSimpleReadWrite(t *testing.T) {
 		})
 	}))
 	r := analyze(t, m)
-	args := r.KernelArgs("copy", 3)
+	args := r.KernelArgs("copy")
 	if args[0] != Write {
 		t.Errorf("out = %v, want w", args[0])
 	}
@@ -68,7 +68,7 @@ func TestPaperFig8(t *testing.T) {
 	if nested.Params[0] != Write || nested.Params[1] != Read {
 		t.Fatalf("kernel_nested summary wrong: %v", nested)
 	}
-	outer := r.KernelArgs("kernel", 2)
+	outer := r.KernelArgs("kernel")
 	if outer[0] != Write {
 		t.Errorf("d_a = %v, want w (flows to written param y)", outer[0])
 	}
@@ -94,7 +94,7 @@ func TestAliasThroughGEPAndMov(t *testing.T) {
 	fb.Store(alias, val)
 	m.Add(fb.Func())
 	r := analyze(t, m)
-	if got := r.KernelArgs("k", 1)[0]; got != Write {
+	if got := r.KernelArgs("k")[0]; got != Write {
 		t.Fatalf("p = %v, want w via gep+mov chain", got)
 	}
 }
@@ -109,7 +109,7 @@ func TestReadWriteSameParam(t *testing.T) {
 		e.Store(ptr, e.Add(e.Load(ptr), e.ConstF(1)))
 	}))
 	r := analyze(t, m)
-	if got := r.KernelArgs("inc", 1)[0]; got != ReadWrite {
+	if got := r.KernelArgs("inc")[0]; got != ReadWrite {
 		t.Fatalf("p = %v, want rw", got)
 	}
 }
@@ -124,7 +124,7 @@ func TestUnusedPointerIsNone(t *testing.T) {
 		_ = e.GEP(e.Arg("p"), i) // address computed but never dereferenced
 	}))
 	r := analyze(t, m)
-	args := r.KernelArgs("noop", 2)
+	args := r.KernelArgs("noop")
 	if args[0] != None || args[1] != None {
 		t.Fatalf("args = %v, want none/none", args)
 	}
@@ -143,7 +143,7 @@ func TestBranchDependentAccessJoins(t *testing.T) {
 		})
 	}))
 	r := analyze(t, m)
-	if got := r.KernelArgs("branchy", 2)[0]; got != Write {
+	if got := r.KernelArgs("branchy")[0]; got != Write {
 		t.Fatalf("p = %v, want w", got)
 	}
 }
@@ -177,7 +177,7 @@ func TestPointerSelectJoinsBothParams(t *testing.T) {
 	fb.Ret()
 	m.Add(fb.Func())
 	r := analyze(t, m)
-	args := r.KernelArgs("sel", 3)
+	args := r.KernelArgs("sel")
 	if args[0] != Write || args[1] != Write {
 		t.Fatalf("args = %v, want w/w", args)
 	}
@@ -194,7 +194,7 @@ func TestLoopBodyAccess(t *testing.T) {
 		})
 	}))
 	r := analyze(t, m)
-	if got := r.KernelArgs("fill", 2)[0]; got != Write {
+	if got := r.KernelArgs("fill")[0]; got != Write {
 		t.Fatalf("p = %v, want w (store inside loop)", got)
 	}
 }
@@ -215,7 +215,7 @@ func TestTransitiveCallChain(t *testing.T) {
 			e.Call("b", e.Arg("x"))
 		}))
 	r := analyze(t, m)
-	if got := r.KernelArgs("a", 1)[0]; got != Write {
+	if got := r.KernelArgs("a")[0]; got != Write {
 		t.Fatalf("x = %v, want w through 2-deep call chain", got)
 	}
 }
@@ -279,7 +279,7 @@ func TestAtomicAddIsReadWrite(t *testing.T) {
 		e.AtomicAddF(e.Arg("acc"), e.LoadIdx(e.Arg("in"), i))
 	}))
 	r := analyze(t, m)
-	args := r.KernelArgs("reduce", 2)
+	args := r.KernelArgs("reduce")
 	if args[0] != ReadWrite {
 		t.Errorf("acc = %v, want rw", args[0])
 	}
@@ -288,26 +288,13 @@ func TestAtomicAddIsReadWrite(t *testing.T) {
 	}
 }
 
-func TestKernelArgsUnknownFallsBack(t *testing.T) {
-	// An unanalyzed kernel gets the conservative all-read-write summary
-	// instead of a crash, and the fallback is counted.
-	m := kir.NewModule()
-	r := analyze(t, m)
-	args := r.KernelArgs("ghost", 3)
-	if len(args) != 3 {
-		t.Fatalf("fallback arity = %d, want 3", len(args))
-	}
-	for i, a := range args {
-		if a != ReadWrite {
-			t.Fatalf("fallback arg %d = %v, want rw", i, a)
-		}
-	}
-	if got := r.FallbackCount(); got != 1 {
-		t.Fatalf("FallbackCount = %d, want 1", got)
-	}
-	r.KernelArgs("ghost", 0)
-	if got := r.FallbackCount(); got != 2 {
-		t.Fatalf("FallbackCount = %d, want 2", got)
+func TestKernelArgsUnknownIsNil(t *testing.T) {
+	// Every function is summarized, so only a name the module does not
+	// define has no attributes; the runtime rejects such a launch before
+	// it asks.
+	r := analyze(t, kir.NewModule())
+	if args := r.KernelArgs("ghost"); args != nil {
+		t.Fatalf("KernelArgs(ghost) = %v, want nil", args)
 	}
 }
 

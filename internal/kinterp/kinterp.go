@@ -91,52 +91,27 @@ type Config struct {
 	MaxStepsPerThread int64
 }
 
-// Engine executes kernels of one module, interpreting them or running
-// registered native implementations (see native.go).
-type Engine struct {
-	mod     *kir.Module
-	cfg     Config
-	natives map[string]ThreadRange
+// Program is a module prepared for execution: sealed, verified, and the
+// per-kernel facts every launch needs computed once. It is read-only and
+// shared by every Engine built from it.
+type Program struct {
+	mod *kir.Module
 	// atomic holds the kernels whose IR can execute OpAtomicAddF; only
 	// their launches are split on segment boundaries.
 	atomic map[string]bool
-	// atomicMu makes the publication of a launch's float atomic partials
-	// (publish) atomic with respect to other launches running at the
-	// same time on asynchronous streams.
-	atomicMu sync.Mutex
 }
 
-// DefaultSerialThreshold is the launch size up to which kernels run
-// inline on the calling goroutine.
-const DefaultSerialThreshold = 2048
-
-// SegmentSize is the number of consecutive linear thread ids whose float
-// atomic adds fold into one partial. It fixes the summation order of
-// OpAtomicAddF (see Launch) and is deliberately independent of Workers,
-// SerialThreshold and GOMAXPROCS.
-const SegmentSize = 256
-
-const defaultMaxSteps = 50_000_000
-
-// New creates an engine for the verified module.
-func New(mod *kir.Module, cfg Config) (*Engine, error) {
-	if err := kir.Verify(mod); err != nil {
+// Compile seals and verifies mod (kir.Module.Seal) and prepares it for
+// execution.
+func Compile(mod *kir.Module) (*Program, error) {
+	if err := mod.Seal(); err != nil {
 		return nil, err
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.SerialThreshold <= 0 {
-		cfg.SerialThreshold = DefaultSerialThreshold
-	}
-	if cfg.MaxStepsPerThread <= 0 {
-		cfg.MaxStepsPerThread = defaultMaxSteps
 	}
 	atomic := make(map[string]bool)
 	for _, f := range mod.Kernels() {
 		atomic[f.Name] = hasAtomicAdd(mod, f, map[string]bool{})
 	}
-	return &Engine{mod: mod, cfg: cfg, atomic: atomic}, nil
+	return &Program{mod: mod, atomic: atomic}, nil
 }
 
 // hasAtomicAdd reports whether f, or a device function it calls, contains
@@ -158,8 +133,46 @@ func hasAtomicAdd(mod *kir.Module, f *kir.Function, seen map[string]bool) bool {
 	return false
 }
 
-// Module returns the engine's module.
-func (e *Engine) Module() *kir.Module { return e.mod }
+// Engine executes kernels of one program, interpreting them or running
+// registered native implementations (see native.go).
+type Engine struct {
+	*Program
+	cfg     Config
+	natives map[string]ThreadRange
+	// atomicMu makes the publication of a launch's float atomic partials
+	// (publish) atomic with respect to other launches running at the
+	// same time on asynchronous streams.
+	atomicMu sync.Mutex
+}
+
+// DefaultSerialThreshold is the launch size up to which kernels run
+// inline on the calling goroutine.
+const DefaultSerialThreshold = 2048
+
+// SegmentSize is the number of consecutive linear thread ids whose float
+// atomic adds fold into one partial. It fixes the summation order of
+// OpAtomicAddF (see Launch) and is deliberately independent of Workers,
+// SerialThreshold and GOMAXPROCS.
+const SegmentSize = 256
+
+const defaultMaxSteps = 50_000_000
+
+// New creates an engine for the compiled program.
+func New(p *Program, cfg Config) *Engine {
+	if cfg.Workers <= 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
+	}
+	if cfg.SerialThreshold <= 0 {
+		cfg.SerialThreshold = DefaultSerialThreshold
+	}
+	if cfg.MaxStepsPerThread <= 0 {
+		cfg.MaxStepsPerThread = defaultMaxSteps
+	}
+	return &Engine{Program: p, cfg: cfg}
+}
+
+// Module returns the program's module.
+func (p *Program) Module() *kir.Module { return p.mod }
 
 // KernelError wraps an execution failure with kernel context.
 type KernelError struct {

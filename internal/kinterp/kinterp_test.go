@@ -9,13 +9,13 @@ import (
 	"cusango/internal/memspace"
 )
 
-func engine(t *testing.T, m *kir.Module, cfg Config) *Engine {
+func engine(t testing.TB, m *kir.Module, cfg Config) *Engine {
 	t.Helper()
-	e, err := New(m, cfg)
+	p, err := Compile(m)
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("Compile: %v", err)
 	}
-	return e
+	return New(p, cfg)
 }
 
 func copyModule() *kir.Module {
@@ -324,7 +324,7 @@ func BenchmarkCopyKernelSerial(b *testing.B) {
 	const n = 1 << 16
 	in := mem.Alloc(n*8, memspace.KindDevice)
 	out := mem.Alloc(n*8, memspace.KindDevice)
-	eng, _ := New(copyModule(), Config{Workers: 1})
+	eng := engine(b, copyModule(), Config{Workers: 1})
 	b.SetBytes(n * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -339,7 +339,7 @@ func BenchmarkCopyKernelParallel(b *testing.B) {
 	const n = 1 << 16
 	in := mem.Alloc(n*8, memspace.KindDevice)
 	out := mem.Alloc(n*8, memspace.KindDevice)
-	eng, _ := New(copyModule(), Config{})
+	eng := engine(b, copyModule(), Config{})
 	b.SetBytes(n * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -189,7 +189,7 @@ func BenchmarkNativeCopy(b *testing.B) {
 	mem := memspace.New()
 	in := mem.Alloc(n*8, memspace.KindDevice)
 	out := mem.Alloc(n*8, memspace.KindDevice)
-	eng, _ := New(copyModule(), Config{Workers: 1})
+	eng := engine(b, copyModule(), Config{Workers: 1})
 	if err := eng.RegisterNative("copy", nativeCopy); err != nil {
 		b.Fatal(err)
 	}

@@ -13,7 +13,11 @@
 //     address space (the "GPU").
 package kir
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+)
 
 // Type is the static type of a parameter or local slot.
 type Type uint8
@@ -265,9 +269,18 @@ func (f *Function) ParamIndex(name string) int {
 }
 
 // Module is a set of functions compiled together ("fat binary" analog).
+// It is built with Add, then sealed by its first consumer (Seal); from
+// then on it is immutable and may be shared by any number of goroutines.
 type Module struct {
 	funcs map[string]*Function
 	order []string
+
+	sealed    atomic.Bool
+	seal      sync.Once
+	verifyErr error
+	memo      sync.Once
+	memoVal   any
+	memoErr   error
 }
 
 // NewModule creates an empty module.
@@ -278,11 +291,38 @@ func NewModule() *Module {
 // Add registers a function. Duplicate names panic: the toolchain builds
 // modules programmatically and a duplicate is a build bug.
 func (m *Module) Add(f *Function) {
+	if m.sealed.Load() {
+		panic(fmt.Sprintf("kir: Add(%q) on a sealed module", f.Name))
+	}
 	if _, dup := m.funcs[f.Name]; dup {
 		panic(fmt.Sprintf("kir: duplicate function %q", f.Name))
 	}
 	m.funcs[f.Name] = f
 	m.order = append(m.order, f.Name)
+}
+
+// Seal freezes m and verifies it, once: Add panics from then on, so
+// nothing computed from m can go stale, and later calls return the first
+// verdict without verifying again. Everything that derives facts from a
+// module (kaccess.Analyze, kinterp.Compile) seals it first. Safe for
+// concurrent use.
+func (m *Module) Seal() error {
+	m.seal.Do(func() {
+		m.sealed.Store(true)
+		m.verifyErr = Verify(m)
+	})
+	return m.verifyErr
+}
+
+// Memo returns what build(m) returned, calling build on the first call
+// only; later calls, from any goroutine, return that first result
+// whatever build they pass. It is the one slot where the toolchain keeps
+// its compiled form of m (cuda.Compile): the value lives exactly as long
+// as m, so no process-wide table keeps dropped modules alive. build must
+// seal m.
+func (m *Module) Memo(build func(*Module) (any, error)) (any, error) {
+	m.memo.Do(func() { m.memoVal, m.memoErr = build(m) })
+	return m.memoVal, m.memoErr
 }
 
 // Func returns the named function, or nil.

@@ -45,6 +45,40 @@ func TestModuleDuplicatePanics(t *testing.T) {
 	m.Add(buildCopyKernel())
 }
 
+func TestSealedModuleRefusesAdd(t *testing.T) {
+	m := NewModule()
+	m.Add(buildCopyKernel())
+	if err := m.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on Add to a sealed module")
+		}
+	}()
+	m.Add(KernelFunc("other", nil, func(*Emitter) {}))
+}
+
+func TestSealVerifiesOnce(t *testing.T) {
+	m := NewModule()
+	m.Add(KernelFunc("k", []Param{{Name: "p", Type: TPtrF64}}, func(e *Emitter) {
+		e.Store(e.Arg("p"), e.ConstI(1)) // int stored through a float pointer
+	}))
+	first := m.Seal()
+	if first == nil {
+		t.Fatal("Seal accepted an ill-typed module")
+	}
+	if again := m.Seal(); again != first {
+		t.Fatalf("second Seal = %v, want the first verdict %v", again, first)
+	}
+	calls := 0
+	for i := 0; i < 2; i++ {
+		if got, _ := m.Memo(func(*Module) (any, error) { calls++; return calls, nil }); got != 1 {
+			t.Fatalf("Memo = %v, want the first value 1", got)
+		}
+	}
+}
+
 func TestVerifyAcceptsWellFormed(t *testing.T) {
 	m := NewModule()
 	m.Add(buildCopyKernel())

@@ -76,10 +76,11 @@ func RunOracle(m *kir.Module, kernel string) (*OracleResult, error) {
 	if f == nil || !f.Kernel {
 		return nil, fmt.Errorf("kstatic: no kernel %q", kernel)
 	}
-	eng, err := kinterp.New(m, kinterp.Config{Workers: 1})
+	prog, err := kinterp.Compile(m)
 	if err != nil {
 		return nil, err
 	}
+	eng := kinterp.New(prog, kinterp.Config{Workers: 1})
 	res := &OracleResult{}
 	for _, g := range Geometries(usesYDim(f)) {
 		mem := memspace.New()

@@ -106,6 +106,10 @@ type MetricDelta struct {
 }
 
 func (d MetricDelta) String() string {
+	if d.Status == StatusNoCurrent {
+		return fmt.Sprintf("%-11s %-18s %-32s base=%-12.4g (missing from the fresh run)",
+			d.Status, d.Scenario, d.Metric, d.Base)
+	}
 	return fmt.Sprintf("%-11s %-18s %-32s base=%-12.4g cur=%-12.4g %+6.1f%% bound=%.4g",
 		d.Status, d.Scenario, d.Metric, d.Base, d.Cur, 100*d.RelChange, d.Bound)
 }
@@ -124,11 +128,12 @@ type Comparison struct {
 	Drifts []Drift       `json:"drifts"`
 }
 
-// Regressions returns the gated deltas that regressed.
+// Regressions returns the gated deltas that regressed, counting a gated
+// metric the fresh run lacks.
 func (c *Comparison) Regressions() []MetricDelta {
 	var out []MetricDelta
 	for _, d := range c.Deltas {
-		if d.Gated && d.Status == StatusRegression {
+		if d.Gated && (d.Status == StatusRegression || d.Status == StatusNoCurrent) {
 			out = append(out, d)
 		}
 	}
@@ -194,8 +199,8 @@ func compareScenario(cmp *Comparison, base, cur *Result, opt CompareOptions) {
 			d.Status, d.Gated = StatusNoBaseline, false
 		case !cok:
 			// A metric the baseline promises but the fresh run did not
-			// produce is a harness defect — gate it.
-			d.Status = StatusRegression
+			// produce is a harness defect: Regressions gates it.
+			d.Status = StatusNoCurrent
 			d.Base, d.BaseMAD = bs.Median, bs.MAD
 		default:
 			d.Base, d.BaseMAD, d.Cur = bs.Median, bs.MAD, cs.Median

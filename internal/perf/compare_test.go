@@ -1,6 +1,7 @@
 package perf
 
 import (
+	"strings"
 	"testing"
 
 	"cusango/internal/cusan"
@@ -164,7 +165,7 @@ func TestCompareMissingScenario(t *testing.T) {
 
 func TestCompareMissingMetricGates(t *testing.T) {
 	// A metric the baseline promises but the fresh run lost is a
-	// harness defect -> gated regression.
+	// harness defect: reported as no-current, and gated.
 	spec := []MetricSpec{
 		{Name: "kept", Unit: "x", Class: ClassRatio, Better: BetterLower},
 		{Name: "lost", Unit: "x", Class: ClassRatio, Better: BetterLower},
@@ -174,8 +175,28 @@ func TestCompareMissingMetricGates(t *testing.T) {
 	cmp := Compare(map[string]*Result{"s": base}, map[string]*Result{"s": cur},
 		DefaultCompareOptions())
 	d := oneDelta(t, cmp, "lost")
-	if d.Status != StatusRegression || !d.Gated {
-		t.Fatalf("lost metric: %+v, want gated regression", d)
+	if d.Status != StatusNoCurrent || !d.Gated {
+		t.Fatalf("lost metric: %+v, want gated %s", d, StatusNoCurrent)
+	}
+	if regs := cmp.Regressions(); len(regs) != 1 || regs[0].Metric != "lost" || cmp.Clean() {
+		t.Fatalf("lost metric must gate: regressions %+v", regs)
+	}
+	if line := d.String(); strings.Contains(line, "cur=") || !strings.Contains(line, "missing") {
+		t.Fatalf("lost metric printed as %q, want no fresh value", line)
+	}
+}
+
+func TestCompareMissingTrendMetricDoesNotGate(t *testing.T) {
+	spec := []MetricSpec{{Name: "spd", Unit: "x", Class: ClassRatio, Better: BetterHigher, Trend: true}}
+	base := mkResult("s", spec, map[string][]float64{"spd": {8}})
+	cur := mkResult("s", spec, map[string][]float64{})
+	cmp := Compare(map[string]*Result{"s": base}, map[string]*Result{"s": cur},
+		DefaultCompareOptions())
+	if d := oneDelta(t, cmp, "spd"); d.Status != StatusNoCurrent || d.Gated {
+		t.Fatalf("lost trend metric: %+v, want ungated %s", d, StatusNoCurrent)
+	}
+	if !cmp.Clean() {
+		t.Fatal("an ungated missing metric must not gate")
 	}
 }
 

@@ -13,6 +13,7 @@ package testsuite
 
 import (
 	"fmt"
+	"sync"
 
 	"cusango/internal/core"
 	"cusango/internal/cuda"
@@ -41,8 +42,15 @@ type Case struct {
 
 const bufN = 64 // elements per test buffer
 
-// Module builds the kernels shared by all cases.
-func Module() *kir.Module {
+// Module returns the kernels shared by all cases. It is built once per
+// process and shared by every job; its first compile seals it, so
+// callers must not Add to it.
+func Module() *kir.Module { return module() }
+
+var module = sync.OnceValue(buildModule)
+
+// buildModule builds the kernels shared by all cases.
+func buildModule() *kir.Module {
 	m := kir.NewModule()
 	m.Add(kir.KernelFunc("k_write", []kir.Param{
 		{Name: "buf", Type: kir.TPtrF64},

@@ -22,7 +22,7 @@ import (
 // TypeID identifies a registered type layout.
 type TypeID int32
 
-// Builtin type ids, pre-registered in every Registry.
+// Builtin type ids, known to every Registry.
 const (
 	TypeInvalid TypeID = iota
 	TypeUint8
@@ -48,8 +48,19 @@ type Info struct {
 	Fields []Field // empty for builtins
 }
 
+// builtins are the builtin layouts, indexed by id: compile-time data
+// shared read-only by every Registry.
+var builtins = [firstUserType]Info{
+	TypeUint8:   {ID: TypeUint8, Name: "uint8", Size: 1},
+	TypeInt32:   {ID: TypeInt32, Name: "int32", Size: 4},
+	TypeInt64:   {ID: TypeInt64, Name: "int64", Size: 8},
+	TypeFloat32: {ID: TypeFloat32, Name: "float32", Size: 4},
+	TypeFloat64: {ID: TypeFloat64, Name: "float64", Size: 8},
+}
+
 // Registry holds the serialized compile-time type information
-// (paper Fig. 2, step 1).
+// (paper Fig. 2, step 1): the builtin layouts plus any registered user
+// structs. Its maps are made by the first RegisterStruct.
 type Registry struct {
 	mu     sync.RWMutex
 	types  map[TypeID]*Info
@@ -57,26 +68,9 @@ type Registry struct {
 	next   TypeID
 }
 
-// NewRegistry returns a registry pre-populated with the builtin types.
+// NewRegistry returns a registry that knows the builtin types.
 func NewRegistry() *Registry {
-	r := &Registry{
-		types:  make(map[TypeID]*Info),
-		byName: make(map[string]TypeID),
-		next:   firstUserType,
-	}
-	builtins := []Info{
-		{ID: TypeUint8, Name: "uint8", Size: 1},
-		{ID: TypeInt32, Name: "int32", Size: 4},
-		{ID: TypeInt64, Name: "int64", Size: 8},
-		{ID: TypeFloat32, Name: "float32", Size: 4},
-		{ID: TypeFloat64, Name: "float64", Size: 8},
-	}
-	for i := range builtins {
-		in := builtins[i]
-		r.types[in.ID] = &in
-		r.byName[in.Name] = in.ID
-	}
-	return r
+	return &Registry{next: firstUserType}
 }
 
 // RegisterStruct registers a user-defined layout and returns its id.
@@ -84,8 +78,11 @@ func NewRegistry() *Registry {
 func (r *Registry) RegisterStruct(name string, size int64, fields []Field) TypeID {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if id, ok := r.byName[name]; ok {
+	if id := r.idByName(name); id != TypeInvalid {
 		return id
+	}
+	if r.types == nil {
+		r.types, r.byName = map[TypeID]*Info{}, map[string]TypeID{}
 	}
 	id := r.next
 	r.next++
@@ -94,8 +91,12 @@ func (r *Registry) RegisterStruct(name string, size int64, fields []Field) TypeI
 	return id
 }
 
-// Info returns the type's layout, or nil for unknown ids.
+// Info returns the type's layout, or nil for unknown ids. Builtin
+// layouts are shared: callers must not modify them.
 func (r *Registry) Info(id TypeID) *Info {
+	if id > TypeInvalid && id < firstUserType {
+		return &builtins[id]
+	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.types[id]
@@ -105,6 +106,15 @@ func (r *Registry) Info(id TypeID) *Info {
 func (r *Registry) IDByName(name string) TypeID {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
+	return r.idByName(name)
+}
+
+func (r *Registry) idByName(name string) TypeID {
+	for i := range builtins {
+		if b := &builtins[i]; b.ID != TypeInvalid && b.Name == name {
+			return b.ID
+		}
+	}
 	return r.byName[name]
 }
 
